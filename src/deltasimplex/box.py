@@ -51,8 +51,8 @@ class BoxGroup:
         return iter(self.points)
 
 
-def enumerate_box(s: Simplex) -> BoxGroup:
-    """Enumerate the parallelepiped group of a simplex.
+def _box_numerators(s: Simplex):
+    """Group denominator and the numerator tuples of all parallelepiped points.
 
     The coefficient vectors r with sum_i r_i (v_i, 1) integral form a lattice
     between Z^(d+1) and its rational superlattice; the Smith normal form of
@@ -60,7 +60,6 @@ def enumerate_box(s: Simplex) -> BoxGroup:
     whose order equals the normalized volume.
     """
     d = s.dim
-    vol = s.normalized_volume
     hom = s.homogeneous_matrix()
     transposed = tuple(tuple(hom[i][j] for i in range(d + 1)) for j in range(d + 1))
     snf = smith_normal_form(transposed)
@@ -82,17 +81,25 @@ def enumerate_box(s: Simplex) -> BoxGroup:
                 for i in range(d + 1):
                     nums[i] = (nums[i] + k * column[i]) % den
         seen.add(tuple(nums))
-    assert len(seen) == vol  # group order must equal the normalized volume
+    assert len(seen) == s.normalized_volume  # group order must equal the normalized volume
+    return den, seen
 
-    points = []
-    for nums in sorted(seen):
-        total = sum(nums)
-        assert total % den == 0
-        degree = total // den
-        assert 0 <= degree <= d
-        points.append(BoxPoint(s, nums, den, degree))
+
+def _degree(nums, den: int) -> int:
+    """Degree of the point with coefficients nums/den: their sum, an integer below len(nums)."""
+    total = sum(nums)
+    assert total % den == 0
+    degree = total // den
+    assert 0 <= degree < len(nums)
+    return degree
+
+
+def enumerate_box(s: Simplex) -> BoxGroup:
+    """Enumerate the parallelepiped group of a simplex, in canonical order."""
+    den, seen = _box_numerators(s)
+    points = tuple(BoxPoint(s, nums, den, _degree(nums, den)) for nums in sorted(seen))
     assert points[0].is_identity() and points[0].degree == 0
-    return BoxGroup(s, den, tuple(points))
+    return BoxGroup(s, den, points)
 
 
 def box_add(a: BoxPoint, b: BoxPoint) -> BoxPoint:
@@ -101,25 +108,21 @@ def box_add(a: BoxPoint, b: BoxPoint) -> BoxPoint:
         raise ValueError("box points belong to different groups")
     den = a.denominator
     nums = tuple((x + y) % den for x, y in zip(a.numerators, b.numerators))
-    total = sum(nums)
-    assert total % den == 0
-    return BoxPoint(a.simplex, nums, den, total // den)
+    return BoxPoint(a.simplex, nums, den, _degree(nums, den))
 
 
 def box_inverse(a: BoxPoint) -> BoxPoint:
     """Group inverse: each coefficient r maps to the fractional part of 1 - r."""
     den = a.denominator
     nums = tuple(-x % den for x in a.numerators)
-    total = sum(nums)
-    assert total % den == 0
-    return BoxPoint(a.simplex, nums, den, total // den)
+    return BoxPoint(a.simplex, nums, den, _degree(nums, den))
 
 
 def delta_from_box(s: Simplex) -> tuple[int, ...]:
     """Delta-vector of a simplex: entry i counts parallelepiped points of degree i."""
-    group = enumerate_box(s)
+    den, seen = _box_numerators(s)
     delta = [0] * (s.dim + 1)
-    for point in group.points:
-        delta[point.degree] += 1
+    for nums in seen:
+        delta[_degree(nums, den)] += 1
     assert delta[0] == 1 and sum(delta) == s.normalized_volume
     return tuple(delta)

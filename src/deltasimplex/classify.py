@@ -9,6 +9,7 @@ triangular vertex matrices provides the ground truth at small dimension.
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby, product
+from math import isqrt
 
 from .box import delta_from_box
 from .constraints import (
@@ -182,21 +183,15 @@ def witness(delta, p: int) -> Witness:
     return Witness(spec, case, produced)
 
 
-def enumerate_admissible(p: int, d: int, shards: int = 1) -> list[Witness]:
-    """All admissible delta-vectors with volume p and dimension d, each with a witness.
-
-    `shards` splits the candidate stream round-robin into independently
-    processed parts; the merged, sorted result never depends on it.
-    """
+def enumerate_admissible(p: int, d: int) -> list[Witness]:
+    """All admissible delta-vectors with volume p and dimension d, each with a witness."""
     if p not in (5, 7):
         raise ValueError("classification covers volumes 5 and 7 only")
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if shards < 1:
-        raise ValueError("need shards >= 1")
     pairs = reduced_pairs(p)
-    shard_results = [[] for _ in range(shards)]
-    for index, vals in enumerate(combinations_with_replacement(range(1, d + 1), p - 1)):
+    results = []
+    for vals in combinations_with_replacement(range(1, d + 1), p - 1):
         constant = vals[0] + vals[-1]
         if constant > d + 1:
             continue
@@ -204,10 +199,7 @@ def enumerate_admissible(p: int, d: int, shards: int = 1) -> list[Witness]:
             continue
         if any(vals[k - 1] + vals[l - 1] < vals[k + l - 1] for k, l in pairs):
             continue
-        shard_results[index % shards].append(
-            witness(delta_from_exponents(ExponentList(vals, d)), p)
-        )
-    results = [w for shard in shard_results for w in shard]
+        results.append(witness(delta_from_exponents(ExponentList(vals, d)), p))
     results.sort(key=lambda w: w.delta)
     return results
 
@@ -263,23 +255,34 @@ def iter_hnf_simplices(d: int, vol: int):
         yield Simplex((origin,) + rows)
 
 
+def _matrix_count(d: int, vol: int) -> int:
+    """How many matrices `iter_hnf_matrices(d, vol)` yields, without building them.
+
+    Diagonal position i contributes diag[i]**i choices for the entries left of
+    it, so the count is the sum of prod(diag[i]**i) over the ordered
+    factorizations of vol. It is summed one position at a time over the
+    divisors of vol, because the factorizations themselves can be too many to
+    list before a budget refusal.
+    """
+    small = [k for k in range(1, isqrt(vol) + 1) if vol % k == 0]
+    divisors = sorted(set(small + [vol // k for k in small]))
+    # tail[n]: the sum over factorizations of n into the positions from i on
+    tail = {n: n ** (d - 1) for n in divisors}
+    for i in range(d - 2, -1, -1):
+        tail = {n: sum(k**i * tail[n // k] for k in divisors if n % k == 0) for n in divisors}
+    return tail[vol]
+
+
 def exhaustive_search(
-    d: int, vol: int, budget: int = DEFAULT_BUDGET, shards: int = 1
+    d: int, vol: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[tuple[int, ...], ...]:
     """Ground truth: the set of delta-vectors over all matrices from `iter_hnf_matrices`.
 
-    Returned sorted. `shards` partitions the stream round-robin into
-    independent parts whose results are merged by union, so the output never
-    depends on the shard count.
+    Returned sorted. The budget bounds the exact number of matrices.
     """
     if d < 1 or vol < 1:
         raise ValueError("need d >= 1 and vol >= 1")
-    if shards < 1:
-        raise ValueError("need shards >= 1")
-    estimate = d * vol ** (d - 1)
+    estimate = _matrix_count(d, vol)
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
-    shard_sets = [set() for _ in range(shards)]
-    for index, simplex in enumerate(iter_hnf_simplices(d, vol)):
-        shard_sets[index % shards].add(delta_from_box(simplex))
-    return tuple(sorted(set().union(*shard_sets)))
+    return tuple(sorted({delta_from_box(simplex) for simplex in iter_hnf_simplices(d, vol)}))

@@ -21,7 +21,6 @@ from .constraints import run_all_checks
 from .ehrhart import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    cell_estimate,
     ehrhart_delta,
     ehrhart_table,
 )
@@ -129,15 +128,14 @@ def _cmd_box(args):
 
 def _cmd_oracle(args):
     simplex = _load_simplex(args.simplex)
-    table = ehrhart_table(simplex, budget=args.budget, threads=args.threads)
-    delta = ehrhart_delta(simplex, budget=args.budget, threads=args.threads)
+    table = ehrhart_table(simplex, budget=args.budget)
     _emit(
         {
             "dim": simplex.dim,
             "normalized_volume": simplex.normalized_volume,
             "counts": list(table.counts),
             "interior_counts": list(table.interior_counts),
-            "delta": list(delta),
+            "delta": list(table.delta),
         },
         args,
     )
@@ -235,9 +233,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_search(args):
-    deltas = exhaustive_search(
-        args.dim, args.volume, budget=args.budget, shards=max(1, args.threads)
-    )
+    deltas = exhaustive_search(args.dim, args.volume, budget=args.budget)
     _emit(
         {
             "dim": args.dim,
@@ -269,13 +265,12 @@ def _cmd_verify(args):
     methods = {"box": list(delta_from_box(simplex))}
     if closed is not None:
         methods["closed_form"] = list(closed)
-    estimate = cell_estimate(simplex, simplex.dim)
     skipped = None
-    if estimate <= args.budget:
-        methods["oracle"] = list(ehrhart_delta(simplex, budget=args.budget, threads=args.threads))
-    else:
+    try:
+        methods["oracle"] = list(ehrhart_delta(simplex, budget=args.budget))
+    except BudgetExceededError as exc:
         methods["oracle"] = None
-        skipped = estimate
+        skipped = exc.estimate
     computed = [tuple(v) for v in methods.values() if v is not None]
     agree = all(v == computed[0] for v in computed)
     payload = {"methods": methods, "agree": agree}
@@ -289,8 +284,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
                         help="work budget in bounding-box cells / matrices")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker threads / shards for the parallel paths")
     common.add_argument("--output", choices=("json", "text"), default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
@@ -298,7 +291,6 @@ def _build_parser():
         description="Delta-vectors of lattice simplices: compute, validate, classify.",
     )
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--output", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -6,7 +6,6 @@ check the interior/closed count reciprocity. Nothing here shares code with
 the parallelepiped-group path.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -77,46 +76,41 @@ def _count_level(frame, level, affine, used, total_budget, q):
     return count
 
 
+def _budgeted_frame(s: Simplex, n: int, budget: int) -> _CountingFrame:
+    """Counting frame of s, refused when the n-th dilate's cell estimate exceeds the budget."""
+    estimate = cell_estimate(s, n)
+    if estimate > budget:
+        raise BudgetExceededError(estimate, budget)
+    return _CountingFrame(s)
+
+
 def count_lattice_points(
-    s: Simplex,
-    n: int,
-    interior: bool = False,
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
+    s: Simplex, n: int, interior: bool = False, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Exact number of lattice points in the n-th dilate (interior points if asked)."""
     if n < 1:
         raise ValueError("dilation factor must be >= 1")
-    estimate = cell_estimate(s, n)
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget)
-    frame = _CountingFrame(s)
-    return _count_dilate(frame, n, interior, threads)
+    return _count_dilate(_budgeted_frame(s, n, budget), n, interior)
 
 
-def _count_dilate(frame, n, interior, threads=1):
+def _count_dilate(frame, n, interior):
     d = frame.dim
     q = 1 if interior else 0
-    total_budget = n * frame.det - q
     shift = [-n * c for c in frame.origin]
     affine = [sum(frame.adj[i][j] * shift[j] for j in range(d)) for i in range(d)]
-    level = d - 1
-    if d == 1 or threads <= 1:
-        return _count_level(frame, level, affine, 0, total_budget, q)
+    return _count_level(frame, d - 1, affine, 0, n * frame.det - q, q)
 
-    pivot = frame.adj[level][level]
-    low = _ceil_div(q - affine[level], pivot)
-    high = (total_budget - level * q - affine[level]) // pivot
-    if high < low:
-        return 0
 
-    def slab(x):
-        y = affine[level] + pivot * x
-        inner = [affine[i] + frame.adj[i][level] * x for i in range(level)]
-        return _count_level(frame, level - 1, inner, y, total_budget, q)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(slab, range(low, high + 1)))
+def _delta_from_counts(counts, volume: int) -> tuple[int, ...]:
+    """Delta-vector from the closed counts of dilates 0..d (alternating binomial transform)."""
+    d = len(counts) - 1
+    delta = tuple(
+        sum((-1) ** j * comb(d + 1, j) * counts[i - j] for j in range(i + 1))
+        for i in range(d + 1)
+    )
+    assert delta[0] == 1 and all(x >= 0 for x in delta)
+    assert sum(delta) == volume
+    return delta
 
 
 @dataclass(frozen=True)
@@ -136,34 +130,29 @@ class EhrhartTable:
             self.interior_counts[i] <= self.counts[i + 1] for i in range(d + 1)
         )
 
+    @property
+    def delta(self) -> tuple[int, ...]:
+        """Delta-vector from the closed counts of dilates 0..d."""
+        return _delta_from_counts(
+            self.counts[: self.simplex.dim + 1], self.simplex.normalized_volume
+        )
 
-def ehrhart_table(s: Simplex, budget: int = DEFAULT_BUDGET, threads: int = 1) -> EhrhartTable:
+
+def ehrhart_table(s: Simplex, budget: int = DEFAULT_BUDGET) -> EhrhartTable:
     """Count closed and interior lattice points of the dilates n = 0..d+1."""
     d = s.dim
-    estimate = cell_estimate(s, d + 1)
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget)
-    frame = _CountingFrame(s)
-    counts = (1,) + tuple(_count_dilate(frame, n, False, threads) for n in range(1, d + 2))
-    interior = tuple(_count_dilate(frame, n, True, threads) for n in range(1, d + 2))
+    frame = _budgeted_frame(s, d + 1, budget)
+    counts = (1,) + tuple(_count_dilate(frame, n, False) for n in range(1, d + 2))
+    interior = tuple(_count_dilate(frame, n, True) for n in range(1, d + 2))
     return EhrhartTable(s, counts, interior)
 
 
-def ehrhart_delta(s: Simplex, budget: int = DEFAULT_BUDGET, threads: int = 1) -> tuple[int, ...]:
+def ehrhart_delta(s: Simplex, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
     """Delta-vector from dilate counts via the alternating binomial transform."""
     d = s.dim
-    estimate = cell_estimate(s, d)
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget)
-    frame = _CountingFrame(s)
-    counts = [1] + [_count_dilate(frame, n, False, threads) for n in range(1, d + 1)]
-    delta = tuple(
-        sum((-1) ** j * comb(d + 1, j) * counts[i - j] for j in range(i + 1))
-        for i in range(d + 1)
-    )
-    assert delta[0] == 1 and all(x >= 0 for x in delta)
-    assert sum(delta) == s.normalized_volume
-    return delta
+    frame = _budgeted_frame(s, d, budget)
+    counts = [1] + [_count_dilate(frame, n, False) for n in range(1, d + 1)]
+    return _delta_from_counts(counts, s.normalized_volume)
 
 
 def interpolate_at(values, x: int) -> Fraction:
@@ -179,17 +168,6 @@ def interpolate_at(values, x: int) -> Fraction:
     return total
 
 
-def leading_coefficient(s: Simplex, budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Leading coefficient of the dilate-count polynomial (finite differences)."""
-    table = ehrhart_table(s, budget=budget)
-    d = s.dim
-    top = sum((-1) ** (d - k) * comb(d, k) * table.counts[k] for k in range(d + 1))
-    denom = 1
-    for i in range(2, d + 1):
-        denom *= i
-    return Fraction(top, denom)
-
-
 @dataclass(frozen=True)
 class ReciprocityReport:
     """Verdict for interior(n) == (-1)^d closed(-n) over n = 1..d+1."""
@@ -199,14 +177,14 @@ class ReciprocityReport:
     table: EhrhartTable
 
 
-def reciprocity_check(s: Simplex, budget: int = DEFAULT_BUDGET, threads: int = 1) -> ReciprocityReport:
+def reciprocity_check(s: Simplex, budget: int = DEFAULT_BUDGET) -> ReciprocityReport:
     """Compare directly counted interior points against the negated polynomial values.
 
     The closed-count polynomial is interpolated exactly from n = 0..d and
     evaluated at -n with rational arithmetic.
     """
     d = s.dim
-    table = ehrhart_table(s, budget=budget, threads=threads)
+    table = ehrhart_table(s, budget=budget)
     nodes = table.counts[: d + 1]
     for n in range(1, d + 2):
         value = interpolate_at(nodes, -n) * (-1) ** d

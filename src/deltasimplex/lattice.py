@@ -4,6 +4,7 @@ Everything here runs on Python's arbitrary-precision integers, so all results
 are exact and overflow cannot happen silently.
 """
 
+import re
 from dataclasses import dataclass, field
 
 
@@ -168,6 +169,9 @@ def smith_normal_form(matrix) -> SNFResult:
     )
 
 
+# The pivot loop repeats the one in smith_normal_form on purpose: this routine
+# feeds the dilate-counting oracle, which must share no code with the box
+# route it checks.
 def row_hermite_form(matrix):
     """Row-reduce a nonsingular integer matrix: returns (W, H) with H = W @ matrix.
 
@@ -292,8 +296,6 @@ def _json_int(x) -> int:
         raise ValueError("vertex coordinates must be integers")
     if isinstance(x, int):
         return x
-    if isinstance(x, str):
-        s = x[1:] if x.startswith("-") else x
-        if s.isdigit():
-            return int(x)
+    if isinstance(x, str) and re.fullmatch("-?[0-9]+", x):
+        return int(x)
     raise ValueError(f"vertex coordinates must be integers, got {x!r}")

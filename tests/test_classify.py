@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 
 from deltasimplex import (
@@ -107,10 +109,6 @@ class TestEnumerate:
         for w in witnesses:
             assert admissible(w.delta, 7).ok
 
-    def test_shard_independence(self):
-        base = [w.delta for w in enumerate_admissible(7, 6)]
-        assert [w.delta for w in enumerate_admissible(7, 6, shards=3)] == base
-
 
 class TestCounterexampleFamily:
     def test_smallest_instance(self):
@@ -163,10 +161,28 @@ class TestExhaustiveSearch:
         with pytest.raises(BudgetExceededError):
             exhaustive_search(5, 11, budget=100)
 
-    def test_shard_independence(self):
-        base = exhaustive_search(3, 7)
-        assert exhaustive_search(3, 7, shards=2) == base
-        assert exhaustive_search(3, 7, shards=5) == base
+    def test_budget_is_the_exact_matrix_count(self):
+        # 546 matrices, more than the old estimate d * vol**(d-1) = 360
+        assert len(list(iter_hnf_matrices(2, 180))) == 546
+        with pytest.raises(BudgetExceededError) as info:
+            exhaustive_search(2, 180, budget=400)
+        assert info.value.estimate == 546
+        for d, vol in ((1, 7), (2, 12), (3, 8), (4, 6), (3, 30)):
+            count = len(list(iter_hnf_matrices(d, vol)))
+            with pytest.raises(BudgetExceededError) as info:
+                exhaustive_search(d, vol, budget=count - 1)
+            assert info.value.estimate == count
+
+    def test_budget_estimate_at_sizes_too_large_to_list(self):
+        # Z^d has Gaussian-binomial [a+d-1, a]_p sublattices of index p**a;
+        # 2**6 has 1,623,160 ordered factorizations into 30 parts, too many
+        # to list before refusing
+        def gaussian_binomial(n, k, q):
+            return prod(q ** (n - i) - 1 for i in range(k)) // prod(q ** (i + 1) - 1 for i in range(k))
+
+        with pytest.raises(BudgetExceededError) as info:
+            exhaustive_search(30, 2**6)
+        assert info.value.estimate == gaussian_binomial(35, 6, 2)
 
     def test_matches_admissible_enumeration(self):
         for d in (1, 2, 3):

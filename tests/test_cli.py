@@ -1,7 +1,11 @@
 import json
+import random
 
 import pytest
 
+import deltasimplex.ehrhart
+from conftest import random_simplex
+from deltasimplex import delta_from_box
 from deltasimplex.cli import main
 
 
@@ -49,6 +53,15 @@ class TestDelta:
         code, _, err = run(capsys, ["delta", "--simplex", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("digit", ["\u0663", "\uff13"])
+    def test_non_ascii_digit_strings_rejected(self, capsys, tmp_path, digit):
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps({"vertices": [[digit], ["0"]]}), encoding="utf-8")
+        code, out, err = run(capsys, ["delta", "--simplex", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "error" in json.loads(err)
+
 
 class TestBox:
     def test_segment_points(self, capsys, segment_file):
@@ -80,6 +93,31 @@ class TestOracle:
     def test_global_budget_flag_position(self, capsys, segment_file):
         code, _, _ = run(capsys, ["--budget", "3", "oracle", "--simplex", segment_file])
         assert code == 3
+
+    def test_counts_each_dilate_once(self, capsys, triangle_file, monkeypatch):
+        calls = []
+        count_dilate = deltasimplex.ehrhart._count_dilate
+
+        def counted(*args):
+            calls.append(args)
+            return count_dilate(*args)
+
+        monkeypatch.setattr(deltasimplex.ehrhart, "_count_dilate", counted)
+        code, out, _ = run(capsys, ["oracle", "--simplex", triangle_file])
+        assert code == 0
+        d = json.loads(out)["dim"]
+        # closed and interior counts of dilates 1..d+1, and nothing more
+        assert len(calls) == 2 * (d + 1)
+
+    def test_delta_matches_box_on_random_simplices(self, capsys, tmp_path):
+        rng = random.Random(20260809)
+        path = tmp_path / "random.json"
+        for _ in range(40):
+            s = random_simplex(rng, max_dim=4, max_volume=40)
+            path.write_text(json.dumps(s.to_json_dict()))
+            code, out, _ = run(capsys, ["oracle", "--simplex", str(path), "--budget", str(10**12)])
+            assert code == 0
+            assert json.loads(out)["delta"] == list(delta_from_box(s))
 
 
 class TestHnf:
@@ -170,10 +208,18 @@ class TestEnumerateAndSearch:
         code, _, err = run(capsys, ["search", "--dim", "6", "--volume", "13", "--budget", "10"])
         assert code == 3
 
-    def test_search_threads_do_not_change_output(self, capsys):
-        _, base, _ = run(capsys, ["search", "--dim", "3", "--volume", "7"])
-        _, sharded, _ = run(capsys, ["search", "--dim", "3", "--volume", "7", "--threads", "4"])
-        assert base == sharded
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--threads", "2", "search", "--dim", "3", "--volume", "7"],
+            ["search", "--dim", "3", "--volume", "7", "--threads", "2"],
+        ],
+    )
+    def test_threads_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestVerify:

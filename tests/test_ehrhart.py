@@ -1,6 +1,5 @@
 import random
-from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 import pytest
 
@@ -12,7 +11,6 @@ from deltasimplex import (
     delta_from_box,
     ehrhart_delta,
     ehrhart_table,
-    leading_coefficient,
     reciprocity_check,
 )
 from conftest import random_simplex
@@ -55,14 +53,6 @@ class TestCounting:
             moved = Simplex(tuple(tuple(x + t for x, t in zip(v, shift)) for v in s.vertices))
             for n in (1, 2):
                 assert count_lattice_points(s, n) == count_lattice_points(moved, n)
-
-    def test_thread_partitioning_is_pure(self):
-        rng = random.Random(32)
-        for _ in range(10):
-            s = random_simplex(rng, max_dim=3, max_volume=30)
-            base = count_lattice_points(s, 3)
-            assert count_lattice_points(s, 3, threads=3) == base
-            assert count_lattice_points(s, 3, threads=7) == base
 
 
 class TestBudget:
@@ -113,13 +103,7 @@ class TestTable:
         table = ehrhart_table(SEGMENT5)
         assert table.counts == (1, 6, 11)
         assert table.interior_counts == (4, 9)
-
-    def test_leading_coefficient_is_scaled_volume(self):
-        rng = random.Random(12)
-        for _ in range(30):
-            s = random_simplex(rng, max_dim=3, max_volume=30)
-            expected = Fraction(s.normalized_volume, factorial(s.dim))
-            assert leading_coefficient(s, budget=10**12) == expected
+        assert table.delta == (1, 4)
 
 
 class TestReciprocity:

@@ -190,6 +190,11 @@ class TestSimplex:
         s = Simplex.from_json_dict({"vertices": [["0"], ["-5"]]})
         assert s.vertices == ((0,), (-5,))
 
+    @pytest.mark.parametrize("text", ["\u0663", "-\u0663", "\uff13", "1\uff10"])
+    def test_json_rejects_non_ascii_digit_strings(self, text):
+        with pytest.raises(ValueError):
+            Simplex.from_json_dict({"vertices": [[text], ["0"]]})
+
     def test_json_rejects_extra_keys(self):
         with pytest.raises(ValueError):
             Simplex.from_json_dict({"vertices": [[0], [5]], "color": "red"})
