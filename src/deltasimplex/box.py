@@ -5,9 +5,11 @@ addition of their coefficient vectors; counting them by degree yields the
 delta-vector.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from math import prod
+from operator import add
 
 from .lattice import Simplex, smith_normal_form
 
@@ -51,13 +53,16 @@ class BoxGroup:
         return iter(self.points)
 
 
-def _box_numerators(s: Simplex):
-    """Group denominator and the numerator tuples of all parallelepiped points.
+def _box_coordinates(s: Simplex):
+    """Group denominator and, one coordinate at a time, the numerators of every group element.
 
     The coefficient vectors r with sum_i r_i (v_i, 1) integral form a lattice
     between Z^(d+1) and its rational superlattice; the Smith normal form of
-    the transposed homogenized vertex matrix gives generators of the quotient,
-    whose order equals the normalized volume.
+    the transposed homogenized vertex matrix gives generators g_j of the
+    quotient, of orders o_j whose product is the normalized volume. Element k
+    of the product of the ranges [0, o_j) is sum_j k_j g_j mod den. The
+    returned generator yields, for each coordinate i, the list of coordinate-i
+    numerators of all elements, in the same element order for every i.
     """
     d = s.dim
     hom = s.homogeneous_matrix()
@@ -72,33 +77,50 @@ def _box_numerators(s: Simplex):
         scale = den // order
         column = tuple(snf.right[i][j] * scale % den for i in range(d + 1))
         generators.append((column, order))
+    if prod(order for _, order in generators) != s.normalized_volume:
+        raise AssertionError("box group order differs from the normalized volume")
 
-    seen = set()
-    for combo in product(*(range(order) for _, order in generators)):
-        nums = [0] * (d + 1)
-        for (column, _), k in zip(generators, combo):
-            if k:
-                for i in range(d + 1):
-                    nums[i] = (nums[i] + k * column[i]) % den
-        seen.add(tuple(nums))
-    assert len(seen) == s.normalized_volume  # group order must equal the normalized volume
-    return den, seen
+    def coordinates():
+        for i in range(d + 1):
+            values = [0]
+            for column, order in generators:
+                multiples = [k * column[i] % den for k in range(order)]
+                # adding the first generator's multiples to [0] would only copy them
+                values = multiples if len(values) == 1 else [
+                    (x + y) % den for y in multiples for x in values
+                ]
+            yield values
+
+    return den, coordinates()
 
 
-def _degree(nums, den: int) -> int:
-    """Degree of the point with coefficients nums/den: their sum, an integer below len(nums)."""
-    total = sum(nums)
-    assert total % den == 0
+def _check_degree(total: int, den: int, dim: int) -> int:
+    """Degree of a point whose numerators over den sum to total: an integer in [0, dim]."""
+    if total % den:
+        raise AssertionError(f"box point coefficients sum to {total}/{den}, not an integer")
     degree = total // den
-    assert 0 <= degree < len(nums)
+    if not 0 <= degree <= dim:
+        raise AssertionError(f"box point degree {degree} outside [0, {dim}]")
     return degree
+
+
+def _check_identity(delta0: int) -> None:
+    # k -> sum_j k_j g_j mod den is a homomorphism, since o_j g_j = 0 mod den by
+    # construction; only the identity has degree 0, so exactly one element of
+    # degree 0 means the kernel is trivial: the elements are distinct, and the
+    # product of the orders, the volume, counts the whole group.
+    if delta0 != 1:
+        raise AssertionError(f"{delta0} box points of degree 0; the generators are not independent")
 
 
 def enumerate_box(s: Simplex) -> BoxGroup:
     """Enumerate the parallelepiped group of a simplex, in canonical order."""
-    den, seen = _box_numerators(s)
-    points = tuple(BoxPoint(s, nums, den, _degree(nums, den)) for nums in sorted(seen))
-    assert points[0].is_identity() and points[0].degree == 0
+    den, coordinates = _box_coordinates(s)
+    points = tuple(
+        BoxPoint(s, nums, den, _check_degree(sum(nums), den, s.dim))
+        for nums in sorted(zip(*coordinates))
+    )
+    _check_identity(sum(1 for p in points if p.degree == 0))
     return BoxGroup(s, den, points)
 
 
@@ -108,21 +130,31 @@ def box_add(a: BoxPoint, b: BoxPoint) -> BoxPoint:
         raise ValueError("box points belong to different groups")
     den = a.denominator
     nums = tuple((x + y) % den for x, y in zip(a.numerators, b.numerators))
-    return BoxPoint(a.simplex, nums, den, _degree(nums, den))
+    return BoxPoint(a.simplex, nums, den, _check_degree(sum(nums), den, a.simplex.dim))
 
 
 def box_inverse(a: BoxPoint) -> BoxPoint:
     """Group inverse: each coefficient r maps to the fractional part of 1 - r."""
     den = a.denominator
     nums = tuple(-x % den for x in a.numerators)
-    return BoxPoint(a.simplex, nums, den, _degree(nums, den))
+    return BoxPoint(a.simplex, nums, den, _check_degree(sum(nums), den, a.simplex.dim))
 
 
 def delta_from_box(s: Simplex) -> tuple[int, ...]:
-    """Delta-vector of a simplex: entry i counts parallelepiped points of degree i."""
-    den, seen = _box_numerators(s)
+    """Delta-vector of a simplex: entry i counts parallelepiped points of degree i.
+
+    Coordinate lists are added into per-element totals one at a time, so no
+    per-element tuple is built and at most three lists of volume length are
+    held at once.
+    """
+    den, coordinates = _box_coordinates(s)
+    totals = next(coordinates)
+    for values in coordinates:
+        totals = list(map(add, totals, values))
     delta = [0] * (s.dim + 1)
-    for nums in seen:
-        delta[_degree(nums, den)] += 1
-    assert delta[0] == 1 and sum(delta) == s.normalized_volume
+    for total, count in Counter(totals).items():
+        delta[_check_degree(total, den, s.dim)] += count
+    _check_identity(delta[0])
+    if sum(delta) != s.normalized_volume:
+        raise AssertionError("box degree counts do not sum to the normalized volume")
     return tuple(delta)

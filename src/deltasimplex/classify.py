@@ -9,7 +9,7 @@ triangular vertex matrices provides the ground truth at small dimension.
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby, product
-from math import isqrt
+from math import comb, isqrt
 
 from .box import delta_from_box
 from .constraints import (
@@ -183,12 +183,18 @@ def witness(delta, p: int) -> Witness:
     return Witness(spec, case, produced)
 
 
-def enumerate_admissible(p: int, d: int) -> list[Witness]:
-    """All admissible delta-vectors with volume p and dimension d, each with a witness."""
+def enumerate_admissible(p: int, d: int, budget: int = DEFAULT_BUDGET) -> list[Witness]:
+    """All admissible delta-vectors with volume p and dimension d, each with a witness.
+
+    The budget bounds the exact number of candidate exponent lists, C(d+p-2, p-1).
+    """
     if p not in (5, 7):
         raise ValueError("classification covers volumes 5 and 7 only")
     if d < 1:
         raise ValueError("dimension must be >= 1")
+    estimate = comb(d + p - 2, p - 1)
+    if estimate > budget:
+        raise BudgetExceededError(estimate, budget, "candidates")
     pairs = reduced_pairs(p)
     results = []
     for vals in combinations_with_replacement(range(1, d + 1), p - 1):
@@ -284,5 +290,5 @@ def exhaustive_search(
         raise ValueError("need d >= 1 and vol >= 1")
     estimate = _matrix_count(d, vol)
     if estimate > budget:
-        raise BudgetExceededError(estimate, budget)
+        raise BudgetExceededError(estimate, budget, "matrices")
     return tuple(sorted({delta_from_box(simplex) for simplex in iter_hnf_simplices(d, vol)}))

@@ -202,7 +202,7 @@ def _cmd_classify(args):
 
 
 def _cmd_enumerate(args):
-    witnesses = enumerate_admissible(args.volume, args.dim)
+    witnesses = enumerate_admissible(args.volume, args.dim, budget=args.budget)
     payload = {
         "volume": args.volume,
         "dim": args.dim,
@@ -283,7 +283,7 @@ def _cmd_verify(args):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
-                        help="work budget in bounding-box cells / matrices")
+                        help="work budget in bounding-box cells / matrices / candidates")
     common.add_argument("--output", choices=("json", "text"), default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(

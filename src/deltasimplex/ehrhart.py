@@ -16,10 +16,10 @@ DEFAULT_BUDGET = 10**8
 
 
 class BudgetExceededError(RuntimeError):
-    """Estimated work exceeds the caller's budget; carries the estimate."""
+    """Estimated work exceeds the caller's budget; carries the estimate and what it counted."""
 
-    def __init__(self, estimate: int, budget: int):
-        super().__init__(f"estimated {estimate} bounding-box cells exceeds budget {budget}")
+    def __init__(self, estimate: int, budget: int, unit: str):
+        super().__init__(f"estimated {estimate} {unit} exceeds budget {budget}")
         self.estimate = estimate
         self.budget = budget
 
@@ -80,7 +80,7 @@ def _budgeted_frame(s: Simplex, n: int, budget: int) -> _CountingFrame:
     """Counting frame of s, refused when the n-th dilate's cell estimate exceeds the budget."""
     estimate = cell_estimate(s, n)
     if estimate > budget:
-        raise BudgetExceededError(estimate, budget)
+        raise BudgetExceededError(estimate, budget, "bounding-box cells")
     return _CountingFrame(s)
 
 

@@ -58,13 +58,15 @@ def closed_form_delta(spec: HNFSpec) -> tuple[int, ...]:
 
     For i = 1..m-1 the exponent contributed is 1 - floor((i - t_i)/m), where
     t_i sums (i*j mod m) * d_j over j; the delta-vector is the multiset of
-    these exponents, padded to length dim+1.
+    these exponents, padded to length dim+1. At most dim-1 of the d_j are
+    nonzero, so t_i sums over those only.
     """
     m, d = spec.m, spec.dim
+    nonzero = [(j, mult) for j, mult in enumerate(spec.coeffs, start=1) if mult]
     delta = [0] * (d + 1)
     delta[0] = 1
     for i in range(1, m):
-        t = sum((i * j) % m * mult for j, mult in enumerate(spec.coeffs, start=1))
+        t = sum((i * j) % m * mult for j, mult in nonzero)
         exponent = 1 - (i - t) // m
         if not 1 <= exponent <= d:
             raise ValueError(f"exponent {exponent} outside [1, {d}] for {spec}")

@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -9,9 +14,13 @@ from deltasimplex import (
     box_add,
     box_inverse,
     delta_from_box,
+    ehrhart_delta,
     enumerate_box,
     is_prime,
+    iter_hnf_simplices,
 )
+import deltasimplex
+import deltasimplex.box
 from conftest import random_simplex
 
 SEGMENT5 = Simplex(((0,), (5,)))
@@ -168,3 +177,61 @@ class TestDelta:
 
     def test_triangle(self):
         assert delta_from_box(TRIANGLE235) == (1, 0, 4, 0)
+
+    @pytest.mark.parametrize("dim, volume", [(3, 8), (3, 12), (2, 16), (4, 4)])
+    def test_routes_agree_on_every_hnf_simplex(self, dim, volume):
+        # these volumes have non-cyclic groups, with up to three SNF generators
+        for s in iter_hnf_simplices(dim, volume):
+            delta = delta_from_box(s)
+            counts = Counter(p.degree for p in enumerate_box(s))
+            assert delta == tuple(counts[i] for i in range(dim + 1))
+            assert delta == ehrhart_delta(s, budget=10**9)
+
+
+# The simplex has group Z/4; doubling the generator column makes it generate
+# only a subgroup of order 2, which an unchecked count would report as (1, 1, 0).
+BROKEN_SNF_SIMPLEX = ((0, 0), (1, 0), (1, 4))
+
+BROKEN_SNF_SCRIPT = """
+from dataclasses import replace
+import deltasimplex.box as box
+from deltasimplex import Simplex
+
+real = box.smith_normal_form
+box.smith_normal_form = lambda m: replace(
+    real(m), right=tuple(row[:-1] + (2 * row[-1],) for row in real(m).right)
+)
+for f in (box.delta_from_box, box.enumerate_box):
+    try:
+        f(Simplex(%r))
+    except AssertionError:
+        print(f.__name__, "raised")
+    else:
+        print(f.__name__, "returned")
+""" % (BROKEN_SNF_SIMPLEX,)
+
+
+class TestBrokenSNF:
+    @pytest.fixture
+    def broken_snf(self, monkeypatch):
+        real = deltasimplex.box.smith_normal_form
+
+        def doubled_last_column(matrix):
+            snf = real(matrix)
+            return replace(snf, right=tuple(row[:-1] + (2 * row[-1],) for row in snf.right))
+
+        monkeypatch.setattr(deltasimplex.box, "smith_normal_form", doubled_last_column)
+
+    @pytest.mark.parametrize("route", [delta_from_box, enumerate_box])
+    def test_raises_in_process(self, broken_snf, route):
+        with pytest.raises(AssertionError):
+            route(Simplex(BROKEN_SNF_SIMPLEX))
+
+    def test_raises_under_optimize(self):
+        src = os.path.dirname(os.path.dirname(deltasimplex.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", BROKEN_SNF_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert result.stdout.split("\n")[:2] == ["delta_from_box raised", "enumerate_box raised"]

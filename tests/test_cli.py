@@ -1,5 +1,7 @@
 import json
 import random
+import time
+from math import comb
 
 import pytest
 
@@ -71,6 +73,23 @@ class TestBox:
         assert points[0] == {"coeffs": ["0/5", "0/5"], "degree": 0}
         assert [p["degree"] for p in points] == [0, 1, 1, 1, 1]
         assert all(len(p["coeffs"]) == 2 for p in points)
+
+    def test_readme_examples_are_pinned(self, capsys, segment_file, triangle_file, tmp_path):
+        square = tmp_path / "square.json"
+        square.write_text(json.dumps({"vertices": [[0, 0], [2, 0], [0, 2]]}))
+        outputs = [run(capsys, ["box", "--simplex", path])[1] for path in (segment_file, triangle_file, str(square))]
+        assert outputs == [
+            '[{"coeffs": ["0/5", "0/5"], "degree": 0}, {"coeffs": ["1/5", "4/5"], "degree": 1}, '
+            '{"coeffs": ["2/5", "3/5"], "degree": 1}, {"coeffs": ["3/5", "2/5"], "degree": 1}, '
+            '{"coeffs": ["4/5", "1/5"], "degree": 1}]\n',
+            '[{"coeffs": ["0/5", "0/5", "0/5", "0/5"], "degree": 0}, '
+            '{"coeffs": ["1/5", "2/5", "3/5", "4/5"], "degree": 2}, '
+            '{"coeffs": ["2/5", "4/5", "1/5", "3/5"], "degree": 2}, '
+            '{"coeffs": ["3/5", "1/5", "4/5", "2/5"], "degree": 2}, '
+            '{"coeffs": ["4/5", "3/5", "2/5", "1/5"], "degree": 2}]\n',
+            '[{"coeffs": ["0/2", "0/2", "0/2"], "degree": 0}, {"coeffs": ["0/2", "1/2", "1/2"], "degree": 1}, '
+            '{"coeffs": ["1/2", "0/2", "1/2"], "degree": 1}, {"coeffs": ["1/2", "1/2", "0/2"], "degree": 1}]\n',
+        ]
 
 
 class TestOracle:
@@ -207,6 +226,19 @@ class TestEnumerateAndSearch:
     def test_search_budget(self, capsys):
         code, _, err = run(capsys, ["search", "--dim", "6", "--volume", "13", "--budget", "10"])
         assert code == 3
+        error = json.loads(err)["error"]
+        assert error["message"] == "estimated 402234 matrices exceeds budget 10"
+        assert (error["estimate"], error["budget"]) == (402234, 10)
+
+    def test_enumerate_budget_refuses_before_the_loop(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["enumerate", "--volume", "7", "--dim", "1000", "--budget", "10"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["estimate"] == 1409840590658500 == comb(1005, 6)
+        assert error["message"] == "estimated 1409840590658500 candidates exceeds budget 10"
 
     @pytest.mark.parametrize(
         "argv",

@@ -76,6 +76,28 @@ class TestClosedForm:
             if spec.dim <= 4:
                 assert ehrhart_delta(simplex, budget=10**12) == closed
 
+    def test_equals_dense_sum_over_all_residues(self):
+        def dense(spec):
+            m, d = spec.m, spec.dim
+            delta = [0] * (d + 1)
+            delta[0] = 1
+            for i in range(1, m):
+                t = sum((i * j) % m * mult for j, mult in enumerate(spec.coeffs, start=1))
+                delta[1 - (i - t) // m] += 1
+            return tuple(delta)
+
+        rng = random.Random(2024)
+        specs = [HNFSpec(m, (0,) * (m - 1), dim) for m, dim in ((2, 1), (7, 3), (300, 6))]
+        for _ in range(240):
+            m = rng.randint(2, 300)
+            dim = rng.randint(1, 8)
+            coeffs = [0] * (m - 1)
+            for _ in range(rng.randint(0, dim - 1)):
+                coeffs[rng.randrange(m - 1)] += 1
+            specs.append(HNFSpec(m, tuple(coeffs), dim))
+        for spec in specs:
+            assert closed_form_delta(spec) == dense(spec)
+
 
 class TestNonprimeFamily:
     def test_smallest_composite(self):
