@@ -80,13 +80,9 @@ def admissible(delta, p: int) -> CheckReport:
     e = exponents(delta)
     if e.m != p:
         raise ValueError(f"delta-vector sums to {e.m}, expected {p}")
-    pairing = check_pairing(e)
-    superadd = check_superadditive(e, pairs=reduced_pairs(p))
-    return CheckReport(
-        "admissible",
-        pairing.ok and superadd.ok,
-        pairing.violations + superadd.violations,
-    )
+    violations = check_pairing(e).violations
+    violations += check_superadditive(e, pairs=reduced_pairs(p)).violations
+    return CheckReport("admissible", not violations, violations)
 
 
 def classify_case(e: ExponentList) -> CaseId:
@@ -163,51 +159,54 @@ def _coefficients_vol7(label: str, vals, branch) -> tuple[int, ...]:
 def witness(delta, p: int) -> Witness:
     """Construct a family member realizing an admissible delta-vector.
 
-    The construction self-verifies: the instantiated coefficients must be
-    nonnegative, fit the carried dimension, and reproduce the requested
-    vector through the closed form.
+    The construction self-verifies: its coefficients must be nonnegative and fit
+    the carried dimension, and the closed form must reproduce the requested vector.
     """
     verdict = admissible(delta, p)
     if not verdict.ok:
         raise ValueError(f"delta-vector is not admissible: violations {verdict.violations}")
-    e = exponents(delta)
+    return _witness(exponents(delta))
+
+
+def _witness(e: ExponentList) -> Witness:
+    """Witness of an exponent list already known to be admissible."""
     case = classify_case(e)
-    if p == 5:
+    if e.m == 5:
         coeffs = _coefficients_vol5(case.label, e.values)
     else:
         coeffs = _coefficients_vol7(case.label, e.values, case.branch)
-    assert all(c >= 0 for c in coeffs)
-    spec = HNFSpec(p, coeffs, e.dim)
+    if any(c < 0 for c in coeffs):
+        raise AssertionError(f"case {case.label} gave negative coefficients {coeffs}")
+    spec = HNFSpec(e.m, coeffs, e.dim)
     produced = closed_form_delta(spec)
-    assert produced == tuple(int(x) for x in delta)
+    if produced != delta_from_exponents(e):
+        raise AssertionError(f"witness {spec} has delta-vector {produced}, not the requested one")
     return Witness(spec, case, produced)
 
 
 def enumerate_admissible(p: int, d: int, budget: int = DEFAULT_BUDGET) -> list[Witness]:
     """All admissible delta-vectors with volume p and dimension d, each with a witness.
 
-    The budget bounds the exact number of candidate exponent lists, C(d+p-2, p-1).
+    Visits only the lists the pairing allows, each checked once for superadditivity: per pair
+    sum c in [2, d+1], h = (p-1)/2 sorted values from [1, c//2], then c minus them reversed.
+    The budget bounds their number, C(k-1+h, h) for each of c = 2k and 2k+1, summed over k.
     """
     if p not in (5, 7):
         raise ValueError("classification covers volumes 5 and 7 only")
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    estimate = comb(d + p - 2, p - 1)
+    h = (p - 1) // 2
+    estimate = comb((d + 1) // 2 + h, h + 1) + comb(d // 2 + h, h + 1)
     if estimate > budget:
         raise BudgetExceededError(estimate, budget, "candidates")
     pairs = reduced_pairs(p)
     results = []
-    for vals in combinations_with_replacement(range(1, d + 1), p - 1):
-        constant = vals[0] + vals[-1]
-        if constant > d + 1:
-            continue
-        if any(vals[k - 1] + vals[p - k - 1] != constant for k in range(2, (p - 1) // 2 + 1)):
-            continue
-        if any(vals[k - 1] + vals[l - 1] < vals[k + l - 1] for k, l in pairs):
-            continue
-        results.append(witness(delta_from_exponents(ExponentList(vals, d)), p))
-    results.sort(key=lambda w: w.delta)
-    return results
+    for c in range(2, d + 2):
+        for lower in combinations_with_replacement(range(1, c // 2 + 1), h):
+            e = ExponentList(lower + tuple(c - x for x in reversed(lower)), d)
+            if check_superadditive(e, pairs).ok:
+                results.append(_witness(e))
+    return sorted(results, key=lambda w: w.delta)
 
 
 def counterexample_family(p: int, ell: int) -> tuple[int, ...]:

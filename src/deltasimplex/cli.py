@@ -2,11 +2,13 @@
 
 Output goes to stdout as compact JSON (or plain text with --output text);
 errors go to stderr as JSON objects. Exit codes: 0 success / positive
-verdict, 1 negative verdict, 2 malformed input, 3 work budget exceeded.
+verdict, 1 negative verdict, 2 malformed input, 3 work budget exceeded,
+141 stdout closed early (128 + SIGPIPE).
 """
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 _JSON_INT_LIMIT = 2**53
 
@@ -81,9 +84,9 @@ def _scalar_text(value):
 def _emit(payload, args):
     payload = _jsonable(payload)
     if args.output == "json":
-        print(json.dumps(payload))
+        print(json.dumps(payload), flush=True)
     else:
-        print("\n".join(_text_lines(payload)))
+        print("\n".join(_text_lines(payload)), flush=True)
 
 
 def _error(kind, message, **extra):
@@ -347,6 +350,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except BudgetExceededError as exc:
         _error("budget-exceeded", str(exc), estimate=exc.estimate, budget=exc.budget)
         return EXIT_BUDGET

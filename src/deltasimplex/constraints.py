@@ -13,17 +13,6 @@ their witnesses.
 from dataclasses import dataclass
 
 
-def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def least_prime_divisor(m: int) -> int:
     """Smallest prime dividing m (trial division)."""
     if m < 2:
@@ -34,6 +23,10 @@ def least_prime_divisor(m: int) -> int:
             return f
         f += 1
     return m
+
+
+def is_prime(m: int) -> bool:
+    return m >= 2 and least_prime_divisor(m) == m
 
 
 @dataclass(frozen=True)

@@ -108,8 +108,8 @@ def _delta_from_counts(counts, volume: int) -> tuple[int, ...]:
         sum((-1) ** j * comb(d + 1, j) * counts[i - j] for j in range(i + 1))
         for i in range(d + 1)
     )
-    assert delta[0] == 1 and all(x >= 0 for x in delta)
-    assert sum(delta) == volume
+    if delta[0] != 1 or min(delta) < 0 or sum(delta) != volume:
+        raise AssertionError(f"dilate counts give delta-vector {delta}, volume {volume}")
     return delta
 
 
@@ -188,7 +188,8 @@ def reciprocity_check(s: Simplex, budget: int = DEFAULT_BUDGET) -> ReciprocityRe
     nodes = table.counts[: d + 1]
     for n in range(1, d + 2):
         value = interpolate_at(nodes, -n) * (-1) ** d
-        assert value.denominator == 1
+        if value.denominator != 1:
+            raise AssertionError(f"count polynomial takes the non-integer value {value} at {-n}")
         expected = table.interior_counts[n - 1]
         if value != expected:
             return ReciprocityReport(False, (n, expected, int(value)), table)

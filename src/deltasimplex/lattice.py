@@ -158,10 +158,10 @@ def smith_normal_form(matrix) -> SNFResult:
 
     diagonal = tuple(a[i][i] for i in range(n))
     check = mat_mul(mat_mul(left, [list(r) for r in matrix]), right)
-    assert all(
-        check[i][j] == (diagonal[i] if i == j else 0) for i in range(n) for j in range(n)
-    )
-    assert all(diagonal[i + 1] % diagonal[i] == 0 for i in range(n - 1))
+    if any(check[i][j] != (diagonal[i] if i == j else 0) for i in range(n) for j in range(n)):
+        raise AssertionError("Smith form transforms do not reproduce the diagonal")
+    if any(diagonal[i + 1] % diagonal[i] for i in range(n - 1)):
+        raise AssertionError(f"Smith form diagonal {diagonal} is not a divisibility chain")
     return SNFResult(
         diagonal,
         tuple(tuple(r) for r in left),

@@ -1,4 +1,18 @@
+import sys
+
+import pytest
+
 from deltasimplex import Simplex
+
+
+def pytest_configure(config):
+    if sys.flags.optimize:
+        raise pytest.UsageError(
+            "python -O strips the asserts of every test, so this run would check nothing. "
+            "Run the suite without -O; the -O behaviour of the package's checks is tested "
+            "in python -O subprocesses by tests/test_optimize.py and "
+            "tests/test_box.py::TestBrokenSNF::test_raises_under_optimize."
+        )
 
 
 def random_simplex(rng, max_dim=4, entry=4, max_volume=None):

@@ -1,3 +1,4 @@
+from itertools import combinations_with_replacement
 from math import prod
 
 import pytest
@@ -14,6 +15,7 @@ from deltasimplex import (
     closed_form_delta,
     counterexample_family,
     delta_from_box,
+    delta_from_exponents,
     enumerate_admissible,
     exhaustive_search,
     exponents,
@@ -101,6 +103,26 @@ class TestEnumerate:
 
     def test_dimension_two(self):
         assert [w.delta for w in enumerate_admissible(5, 2)] == [(1, 2, 2), (1, 4, 0)]
+
+    @staticmethod
+    def sorted_lists(p, d):
+        return [ExponentList(v, d) for v in combinations_with_replacement(range(1, d + 1), p - 1)]
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_equals_brute_force_filter(self, p):
+        for d in range(1, 13):
+            deltas = [delta_from_exponents(e) for e in self.sorted_lists(p, d)]
+            expected = sorted(delta for delta in deltas if admissible(delta, p).ok)
+            assert [w.delta for w in enumerate_admissible(p, d)] == expected
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_budget_is_the_exact_count_of_paired_lists(self, p):
+        for d in range(1, 13):
+            paired = sum(check_pairing(e).ok for e in self.sorted_lists(p, d))
+            with pytest.raises(BudgetExceededError) as info:
+                enumerate_admissible(p, d, budget=0)
+            assert info.value.estimate == paired
+            assert len(enumerate_admissible(p, d, budget=paired)) <= paired
 
     def test_output_is_sorted_and_admissible(self):
         witnesses = enumerate_admissible(7, 5)

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from math import comb
 
@@ -90,6 +93,21 @@ class TestBox:
             '[{"coeffs": ["0/2", "0/2", "0/2"], "degree": 0}, {"coeffs": ["0/2", "1/2", "1/2"], "degree": 1}, '
             '{"coeffs": ["1/2", "0/2", "1/2"], "degree": 1}, {"coeffs": ["1/2", "1/2", "0/2"], "degree": 1}]\n',
         ]
+
+
+    def test_closed_pipe_exits_141_quietly(self, tmp_path):
+        # about 0.8 MB of text, far more than a pipe buffers, so the writer meets the closed pipe
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"vertices": [[0], [20011]]}))
+        src = os.path.dirname(os.path.dirname(deltasimplex.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "deltasimplex.cli", "--output", "text", "box", "--simplex", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stdout.readline() == b"-\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 141
 
 
 class TestOracle:
@@ -237,8 +255,8 @@ class TestEnumerateAndSearch:
         assert code == 3
         assert out == ""
         error = json.loads(err)["error"]
-        assert error["estimate"] == 1409840590658500 == comb(1005, 6)
-        assert error["message"] == "estimated 1409840590658500 candidates exceeds budget 10"
+        assert error["estimate"] == 5271062750 == 2 * comb(503, 4)
+        assert error["message"] == "estimated 5271062750 candidates exceeds budget 10"
 
     @pytest.mark.parametrize(
         "argv",

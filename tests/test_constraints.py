@@ -41,7 +41,7 @@ class TestPrimes:
             least_prime_divisor(1)
 
     def test_is_prime(self):
-        assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert [n for n in range(-3, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 class TestExponents:

@@ -1,0 +1,70 @@
+"""Contract checks that must hold under `python -O`, which strips bare asserts.
+
+Each case injects one fault into a `python -O` subprocess and expects the check
+that guards against it to raise AssertionError with its own message.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import deltasimplex
+
+SCRIPT = """
+import sys
+from fractions import Fraction
+from deltasimplex import Simplex
+import deltasimplex.classify as classify, deltasimplex.ehrhart as ehrhart, deltasimplex.lattice as lattice
+
+assert False, "asserts are not stripped"  # never raises under -O
+triangle = Simplex(((0, 0), (1, 0), (0, 1)))
+{fault}
+for call in ({calls},):
+    try:
+        call()
+    except AssertionError as exc:
+        print(exc)
+    else:
+        print("returned")
+"""
+
+# fault, calls that must raise, a phrase of the raising check's message
+FAULTS = {
+    "witness-closed-form": (
+        "classify.closed_form_delta = lambda spec: (1,) * (spec.dim + 1)",
+        "lambda: classify.witness((1, 0, 4, 0), 5), lambda: classify.enumerate_admissible(5, 3)",
+        "not the requested one",
+    ),
+    "snf-reconstruction": (
+        "real = lattice.mat_mul\n"
+        "lattice.mat_mul = lambda a, b: [[x + 1 for x in row] for row in real(a, b)]",
+        "lambda: lattice.smith_normal_form([[2, 1], [0, 3]])",
+        "do not reproduce the diagonal",
+    ),
+    "dilate-count-off-by-one": (
+        "real = ehrhart._count_dilate\n"
+        "ehrhart._count_dilate = lambda frame, n, interior: real(frame, n, interior) + 1",
+        "lambda: ehrhart.ehrhart_delta(triangle), lambda: ehrhart.ehrhart_table(triangle).delta",
+        "dilate counts give delta-vector",
+    ),
+    "reciprocity-integrality": (
+        "ehrhart.interpolate_at = lambda values, x: Fraction(1, 2)",
+        "lambda: ehrhart.reciprocity_check(triangle)",
+        "non-integer value",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_check_raises_under_optimize(name):
+    fault, calls, phrase = FAULTS[name]
+    src = os.path.dirname(os.path.dirname(deltasimplex.__file__))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT.format(fault=fault, calls=calls)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines and all(phrase in line for line in lines), lines
