@@ -82,7 +82,7 @@ def admissible(delta, p: int) -> CheckReport:
         raise ValueError(f"delta-vector sums to {e.m}, expected {p}")
     violations = check_pairing(e).violations
     violations += check_superadditive(e, pairs=reduced_pairs(p)).violations
-    return CheckReport("admissible", not violations, violations)
+    return CheckReport("admissible", violations)
 
 
 def classify_case(e: ExponentList) -> CaseId:

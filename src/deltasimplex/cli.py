@@ -3,7 +3,8 @@
 Output goes to stdout as compact JSON (or plain text with --output text);
 errors go to stderr as JSON objects. Exit codes: 0 success / positive
 verdict, 1 negative verdict, 2 malformed input, 3 work budget exceeded,
-141 stdout closed early (128 + SIGPIPE).
+4 internal error (a contract check failed), 141 stdout closed early
+(128 + SIGPIPE).
 """
 
 import argparse
@@ -13,13 +14,8 @@ import sys
 from pathlib import Path
 
 from .box import delta_from_box, enumerate_box
-from .classify import (
-    admissible,
-    enumerate_admissible,
-    exhaustive_search,
-    witness,
-)
-from .constraints import run_all_checks
+from .classify import _witness, admissible, enumerate_admissible, exhaustive_search
+from .constraints import exponents, run_all_checks
 from .ehrhart import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -33,6 +29,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 EXIT_PIPE = 141
 
 _JSON_INT_LIMIT = 2**53
@@ -186,7 +183,7 @@ def _cmd_classify(args):
             args,
         )
         return EXIT_NEGATIVE
-    found = witness(delta, args.volume)
+    found = _witness(exponents(delta))
     verified = delta_from_box(build_simplex(found.spec)) == found.delta
     _emit(
         {
@@ -360,6 +357,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         _error(type(exc).__name__, str(exc))
         return EXIT_USAGE
+    except AssertionError as exc:
+        _error("internal-error", str(exc))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -85,15 +85,15 @@ class CheckReport:
     """Named verdict; false exactly when the violation list is nonempty."""
 
     name: str
-    ok: bool
     violations: tuple = ()
 
-    def __post_init__(self):
-        assert self.ok == (len(self.violations) == 0)
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def _report(name, violations) -> CheckReport:
-    return CheckReport(name, not violations, tuple(violations))
+    return CheckReport(name, tuple(violations))
 
 
 def check_pairing(e: ExponentList) -> CheckReport:
@@ -117,6 +117,17 @@ def check_pairing(e: ExponentList) -> CheckReport:
     return _report("pairing", violations)
 
 
+def _pairs_below(g: int):
+    """Index pairs (k, l) with k <= l and k + l <= g - 1, in lexicographic order."""
+    return ((k, l) for k in range(1, g) for l in range(k, g - k))
+
+
+def _superadditive(e: ExponentList, pairs, name: str) -> CheckReport:
+    """i_k + i_l >= i_{k+l} over `pairs`; the violations are the failing pairs, in order."""
+    vals = e.values
+    return _report(name, [(k, l) for k, l in pairs if vals[k - 1] + vals[l - 1] < vals[k + l - 1]])
+
+
 def check_superadditive(e: ExponentList, pairs=None) -> CheckReport:
     """For odd prime volume: i_k + i_l >= i_{k+l} whenever k <= l and k+l <= m-1.
 
@@ -126,18 +137,9 @@ def check_superadditive(e: ExponentList, pairs=None) -> CheckReport:
     m = e.m
     if m % 2 == 0 or not is_prime(m):
         raise ValueError(f"superadditivity check requires an odd prime volume, got {m}")
-    vals = e.values
     if pairs is None:
-        pairs = (
-            (k, l)
-            for k in range(1, m)
-            for l in range(k, m)
-            if k + l <= m - 1
-        )
-    violations = [
-        (k, l) for k, l in pairs if vals[k - 1] + vals[l - 1] < vals[k + l - 1]
-    ]
-    return _report("superadditive", violations)
+        pairs = _pairs_below(m)
+    return _superadditive(e, pairs, "superadditive")
 
 
 def reduced_pairs(p: int) -> tuple[tuple[int, int], ...]:
@@ -202,15 +204,7 @@ def check_nonprime(e: ExponentList) -> CheckReport:
     m = e.m
     if is_prime(m):
         raise ValueError(f"volume {m} is prime; use the full superadditivity check")
-    g = least_prime_divisor(m)
-    vals = e.values
-    violations = [
-        (k, l)
-        for k in range(1, g)
-        for l in range(k, g)
-        if k + l <= g - 1 and vals[k - 1] + vals[l - 1] < vals[k + l - 1]
-    ]
-    return _report("nonprime", violations)
+    return _superadditive(e, _pairs_below(least_prime_divisor(m)), "nonprime")
 
 
 def run_all_checks(delta) -> dict:

@@ -7,7 +7,6 @@ the parallelepiped-group path.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .lattice import Simplex, adjugate, mat_vec, row_hermite_form
@@ -123,12 +122,15 @@ class EhrhartTable:
 
     def __post_init__(self):
         d = self.simplex.dim
-        assert len(self.counts) == d + 2 and len(self.interior_counts) == d + 1
-        assert self.counts[0] == 1
-        assert all(self.counts[i] < self.counts[i + 1] for i in range(d + 1))
-        assert all(
-            self.interior_counts[i] <= self.counts[i + 1] for i in range(d + 1)
-        )
+        counts, interior = self.counts, self.interior_counts
+        if len(counts) != d + 2 or len(interior) != d + 1:
+            raise AssertionError(f"{d}-simplex table of lengths {len(counts)}, {len(interior)}")
+        if counts[0] != 1:
+            raise AssertionError(f"the 0-th dilate counts {counts[0]} points, not 1")
+        if any(counts[i] >= counts[i + 1] for i in range(d + 1)):
+            raise AssertionError(f"closed counts {counts} do not increase")
+        if any(interior[i] > counts[i + 1] for i in range(d + 1)):
+            raise AssertionError(f"interior counts {interior} exceed closed counts {counts[1:]}")
 
     @property
     def delta(self) -> tuple[int, ...]:
@@ -155,42 +157,30 @@ def ehrhart_delta(s: Simplex, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
     return _delta_from_counts(counts, s.normalized_volume)
 
 
-def interpolate_at(values, x: int) -> Fraction:
-    """Evaluate the polynomial through (i, values[i]) for i = 0..len-1 at x (Lagrange)."""
-    total = Fraction(0)
-    k = len(values)
-    for i, y in enumerate(values):
-        term = Fraction(y)
-        for j in range(k):
-            if j != i:
-                term *= Fraction(x - j, i - j)
-        total += term
-    return total
-
-
 @dataclass(frozen=True)
 class ReciprocityReport:
     """Verdict for interior(n) == (-1)^d closed(-n) over n = 1..d+1."""
 
-    ok: bool
     first_mismatch: tuple[int, int, int] | None
     table: EhrhartTable
+
+    @property
+    def ok(self) -> bool:
+        return self.first_mismatch is None
 
 
 def reciprocity_check(s: Simplex, budget: int = DEFAULT_BUDGET) -> ReciprocityReport:
     """Compare directly counted interior points against the negated polynomial values.
 
-    The closed-count polynomial is interpolated exactly from n = 0..d and
-    evaluated at -n with rational arithmetic.
+    With the table's delta-vector, closed(n) = sum_i delta_i C(n - i + d, d), so
+    (-1)^d closed(-n) = sum_i delta_i C(n + i - 1, d). A mismatch is (n, counted, predicted).
     """
     d = s.dim
     table = ehrhart_table(s, budget=budget)
-    nodes = table.counts[: d + 1]
+    delta = table.delta
     for n in range(1, d + 2):
-        value = interpolate_at(nodes, -n) * (-1) ** d
-        if value.denominator != 1:
-            raise AssertionError(f"count polynomial takes the non-integer value {value} at {-n}")
-        expected = table.interior_counts[n - 1]
-        if value != expected:
-            return ReciprocityReport(False, (n, expected, int(value)), table)
-    return ReciprocityReport(True, None, table)
+        predicted = sum(x * comb(n + i - 1, d) for i, x in enumerate(delta))
+        counted = table.interior_counts[n - 1]
+        if counted != predicted:
+            return ReciprocityReport((n, counted, predicted), table)
+    return ReciprocityReport(None, table)

@@ -49,7 +49,8 @@ def build_simplex(spec: HNFSpec) -> Simplex:
         vertices.append(tuple(1 if k == i else 0 for k in range(d)))
     vertices.append(tuple(tail))
     simplex = Simplex(tuple(vertices))
-    assert simplex.normalized_volume == spec.m
+    if simplex.normalized_volume != spec.m:
+        raise AssertionError(f"{spec} built a simplex of volume {simplex.normalized_volume}")
     return simplex
 
 
@@ -95,5 +96,7 @@ def nonprime_family(m: int) -> tuple[HNFSpec, tuple[int, ...]]:
     for j in range(1, q):
         predicted[j * g + 1] = g
     predicted = tuple(predicted)
-    assert closed_form_delta(spec) == predicted
+    produced = closed_form_delta(spec)
+    if produced != predicted:
+        raise AssertionError(f"{spec} has delta-vector {produced}, not the predicted {predicted}")
     return spec, predicted

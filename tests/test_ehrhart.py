@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+import deltasimplex.ehrhart
 from deltasimplex import (
     BudgetExceededError,
     Simplex,
@@ -122,3 +123,14 @@ class TestReciprocity:
             s = random_simplex(rng, max_dim=4, max_volume=30)
             report = reciprocity_check(s, budget=10**12)
             assert report.ok, report.first_mismatch
+
+    def test_miscounted_interior_is_a_mismatch(self, monkeypatch):
+        predicted = ehrhart_table(TRIANGLE235).interior_counts[0]
+        real = deltasimplex.ehrhart._count_dilate
+        monkeypatch.setattr(
+            deltasimplex.ehrhart, "_count_dilate",
+            lambda frame, n, interior: real(frame, n, interior) + interior,
+        )
+        report = reciprocity_check(TRIANGLE235)
+        assert report.ok is False
+        assert report.first_mismatch == (1, predicted + 1, predicted)

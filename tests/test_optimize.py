@@ -1,9 +1,11 @@
 """Contract checks that must hold under `python -O`, which strips bare asserts.
 
 Each case injects one fault into a `python -O` subprocess and expects the check
-that guards against it to raise AssertionError with its own message.
+that guards against it to raise AssertionError with its own message; in the CLI
+such a failure is an internal error with exit code 4.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -14,7 +16,6 @@ import deltasimplex
 
 SCRIPT = """
 import sys
-from fractions import Fraction
 from deltasimplex import Simplex
 import deltasimplex.classify as classify, deltasimplex.ehrhart as ehrhart, deltasimplex.lattice as lattice
 
@@ -49,22 +50,45 @@ FAULTS = {
         "lambda: ehrhart.ehrhart_delta(triangle), lambda: ehrhart.ehrhart_table(triangle).delta",
         "dilate counts give delta-vector",
     ),
-    "reciprocity-integrality": (
-        "ehrhart.interpolate_at = lambda values, x: Fraction(1, 2)",
-        "lambda: ehrhart.reciprocity_check(triangle)",
-        "non-integer value",
+    "table-interior-above-closed": (
+        "real = ehrhart._count_dilate\n"
+        "ehrhart._count_dilate = lambda frame, n, interior: real(frame, n, interior) + 100 * interior",
+        "lambda: ehrhart.ehrhart_table(triangle), lambda: ehrhart.reciprocity_check(triangle)",
+        "exceed closed counts",
     ),
 }
+
+
+def run_optimized(script):
+    src = os.path.dirname(os.path.dirname(deltasimplex.__file__))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
 
 
 @pytest.mark.parametrize("name", FAULTS)
 def test_check_raises_under_optimize(name):
     fault, calls, phrase = FAULTS[name]
-    src = os.path.dirname(os.path.dirname(deltasimplex.__file__))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", SCRIPT.format(fault=fault, calls=calls)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
+    result = run_optimized(SCRIPT.format(fault=fault, calls=calls))
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert lines and all(phrase in line for line in lines), lines
+
+
+def test_internal_fault_exits_4_under_optimize():
+    """A failed contract check is an internal error (exit 4), not a negative verdict (exit 1)."""
+    result = run_optimized(
+        "import sys\n"
+        "import deltasimplex.classify as classify\n"
+        "from deltasimplex.cli import main\n"
+        "classify.closed_form_delta = lambda spec: (1,) * (spec.dim + 1)\n"
+        "sys.exit(main(['classify', '--delta', '1,0,4,0', '--volume', '5']))\n"
+    )
+    assert result.returncode == 4, result.stderr
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, lines
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "internal-error"
+    assert "not the requested one" in error["message"]

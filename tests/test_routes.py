@@ -1,0 +1,45 @@
+"""The three delta-vector routes (box group, dilate counting, closed form) share no code."""
+
+import ast
+from pathlib import Path
+
+import deltasimplex
+
+ROUTES = ("box", "ehrhart", "hnf")
+PACKAGE = Path(deltasimplex.__file__).parent
+
+
+def imports(module):
+    """(module, name) for every name a route module imports; name is None for `import x`."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            found.update((source, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update((alias.name, None) for alias in node.names)
+    return found
+
+
+def imported_names(module):
+    return {name for _, name in imports(module)}
+
+
+def test_no_route_imports_another():
+    for module in ROUTES:
+        for source, name in imports(module):
+            parts = {source.lstrip(".").rsplit(".", 1)[-1], name}
+            assert not parts & (set(ROUTES) - {module}), (module, source, name)
+
+
+def test_counting_does_not_use_the_group():
+    assert "smith_normal_form" not in imported_names("ehrhart")
+
+
+def test_group_does_not_use_the_counting_frame():
+    assert not {"row_hermite_form", "adjugate"} & imported_names("box")
+
+
+def test_counting_is_integer_only():
+    assert not any(source == "fractions" for source, _ in imports("ehrhart"))
