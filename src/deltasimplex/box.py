@@ -7,7 +7,6 @@ delta-vector.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import prod
 from operator import add
 
@@ -26,9 +25,6 @@ class BoxPoint:
     numerators: tuple[int, ...]
     denominator: int
     degree: int
-
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     def is_identity(self) -> bool:
         return all(n == 0 for n in self.numerators)
@@ -59,10 +55,12 @@ def _box_coordinates(s: Simplex):
     The coefficient vectors r with sum_i r_i (v_i, 1) integral form a lattice
     between Z^(d+1) and its rational superlattice; the Smith normal form of
     the transposed homogenized vertex matrix gives generators g_j of the
-    quotient, of orders o_j whose product is the normalized volume. Element k
-    of the product of the ranges [0, o_j) is sum_j k_j g_j mod den. The
-    returned generator yields, for each coordinate i, the list of coordinate-i
-    numerators of all elements, in the same element order for every i.
+    quotient (column j of its right transform over s_j, which its membership
+    check puts in the lattice), of orders o_j whose product is the normalized
+    volume. Element k of the product of the ranges [0, o_j) is
+    sum_j k_j g_j mod den. The returned generator yields, for each coordinate
+    i, the list of coordinate-i numerators of all elements, in the same
+    element order for every i.
     """
     d = s.dim
     hom = s.homogeneous_matrix()

@@ -23,7 +23,7 @@ from .ehrhart import (
     ehrhart_table,
 )
 from .hnf import HNFSpec, build_simplex, closed_form_delta
-from .lattice import Simplex
+from .lattice import Simplex, ascii_int
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -93,7 +93,7 @@ def _error(kind, message, **extra):
 
 def _parse_int_list(text, what):
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(ascii_int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"{what} must be a comma-separated list of integers") from None
 
@@ -103,18 +103,25 @@ def _load_simplex(path):
     return Simplex.from_json_dict(json.loads(text))
 
 
+def _box_budget(simplex, budget):
+    """Refuse a box group over budget before building it: it has one point per unit of volume."""
+    if simplex.normalized_volume > budget:
+        raise BudgetExceededError(simplex.normalized_volume, budget, "box points")
+    return simplex
+
+
 def _report_dict(report):
     return {"ok": report.ok, "violations": [list(v) if isinstance(v, tuple) else v for v in report.violations]}
 
 
 def _cmd_delta(args):
-    delta = delta_from_box(_load_simplex(args.simplex))
+    delta = delta_from_box(_box_budget(_load_simplex(args.simplex), args.budget))
     _emit(list(delta), args)
     return EXIT_OK
 
 
 def _cmd_box(args):
-    group = enumerate_box(_load_simplex(args.simplex))
+    group = enumerate_box(_box_budget(_load_simplex(args.simplex), args.budget))
     payload = [
         {
             "coeffs": [f"{n}/{group.denominator}" for n in point.numerators],
@@ -144,7 +151,7 @@ def _cmd_oracle(args):
 
 def _cmd_hnf(args):
     spec = HNFSpec(args.m, _parse_int_list(args.coeffs, "--coeffs"), args.dim)
-    simplex = build_simplex(spec)
+    simplex = _box_budget(build_simplex(spec), args.budget)
     closed = closed_form_delta(spec)
     via_box = delta_from_box(simplex)
     _emit(
@@ -250,7 +257,7 @@ def _cmd_verify(args):
     have_spec = args.m is not None or args.coeffs is not None or args.dim is not None
     if args.simplex is not None and have_spec:
         raise ValueError("give either --simplex or --m/--coeffs/--dim, not both")
-    closed = None
+    spec = None
     if args.simplex is not None:
         simplex = _load_simplex(args.simplex)
     elif have_spec:
@@ -258,13 +265,12 @@ def _cmd_verify(args):
             raise ValueError("--m, --coeffs and --dim must be given together")
         spec = HNFSpec(args.m, _parse_int_list(args.coeffs, "--coeffs"), args.dim)
         simplex = build_simplex(spec)
-        closed = closed_form_delta(spec)
     else:
         raise ValueError("give --simplex or --m/--coeffs/--dim")
 
-    methods = {"box": list(delta_from_box(simplex))}
-    if closed is not None:
-        methods["closed_form"] = list(closed)
+    methods = {"box": list(delta_from_box(_box_budget(simplex, args.budget)))}
+    if spec is not None:
+        methods["closed_form"] = list(closed_form_delta(spec))
     skipped = None
     try:
         methods["oracle"] = list(ehrhart_delta(simplex, budget=args.budget))
@@ -281,16 +287,16 @@ def _cmd_verify(args):
 
 
 def _build_parser():
+    budget_help = "work budget in bounding-box cells / box points / matrices / candidates"
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
-                        help="work budget in bounding-box cells / matrices / candidates")
+    common.add_argument("--budget", type=ascii_int, default=argparse.SUPPRESS, help=budget_help)
     common.add_argument("--output", choices=("json", "text"), default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
         prog="deltasimplex",
         description="Delta-vectors of lattice simplices: compute, validate, classify.",
     )
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    parser.add_argument("--budget", type=ascii_int, default=DEFAULT_BUDGET, help=budget_help)
     parser.add_argument("--output", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -307,36 +313,40 @@ def _build_parser():
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("hnf", parents=[common], help="build a one-row family member and its delta-vector")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=ascii_int, required=True)
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=ascii_int, required=True)
     p.set_defaults(handler=_cmd_hnf)
 
-    p = sub.add_parser("check", parents=[common], help="run all applicable delta-vector checks")
+    p = sub.add_parser(
+        "check", parents=[common],
+        help="run all applicable delta-vector checks; exit 0 means no known necessary "
+        "condition fails, not that some simplex realizes the vector",
+    )
     p.add_argument("--delta", required=True)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("classify", parents=[common], help="admissibility and witness for volume 5 or 7")
     p.add_argument("--delta", required=True)
-    p.add_argument("--volume", type=int, choices=(5, 7), required=True)
+    p.add_argument("--volume", type=ascii_int, choices=(5, 7), required=True)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("enumerate", parents=[common], help="all admissible delta-vectors at a dimension")
-    p.add_argument("--volume", type=int, choices=(5, 7), required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--volume", type=ascii_int, choices=(5, 7), required=True)
+    p.add_argument("--dim", type=ascii_int, required=True)
     p.add_argument("--exhaustive-crosscheck", action="store_true")
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("search", parents=[common], help="exhaustive delta-vector search over vertex matrices")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--volume", type=int, required=True)
+    p.add_argument("--dim", type=ascii_int, required=True)
+    p.add_argument("--volume", type=ascii_int, required=True)
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("verify", parents=[common], help="compare all applicable delta-vector methods")
     p.add_argument("--simplex", metavar="FILE")
-    p.add_argument("--m", type=int)
+    p.add_argument("--m", type=ascii_int)
     p.add_argument("--coeffs")
-    p.add_argument("--dim", type=int)
+    p.add_argument("--dim", type=ascii_int)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

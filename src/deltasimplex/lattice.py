@@ -76,28 +76,29 @@ def mat_vec(m, v):
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Diagonalization left @ matrix @ right = diag(diagonal) with unimodular transforms.
+    """Smith form diagonal s_1 | s_2 | ... | s_n with a unimodular column transform.
 
-    The diagonal entries are positive and form a divisibility chain
-    s_1 | s_2 | ... | s_n; their product is |det| of the input.
+    The entries are positive with product |det| of the input, and column j of
+    matrix @ right is divisible by s_j: right[:, j] / s_j lies in the lattice
+    {x : matrix @ x integral}. The box route needs no more. It takes those
+    columns mod 1 as generators of orders s_j; its own checks (the order
+    product equals the volume, exactly one element has degree 0) certify
+    that they list the whole group without repeats.
     """
 
     diagonal: tuple[int, ...]
-    left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
 
 
 def smith_normal_form(matrix) -> SNFResult:
-    """Smith normal form of a nonsingular square integer matrix."""
+    """Smith normal form of a nonsingular square integer matrix; only `right` is tracked.
+
+    The membership and divisibility-chain properties are checked before
+    returning, also under `python -O`.
+    """
     n = _check_square(matrix)
     a = [[int(x) for x in row] for row in matrix]
-    left = identity_matrix(n)
     right = identity_matrix(n)
-
-    def row_sub(i, k, q):
-        for j in range(n):
-            a[i][j] -= q * a[k][j]
-            left[i][j] -= q * left[k][j]
 
     def col_sub(j, k, q):
         for i in range(n):
@@ -117,21 +118,19 @@ def smith_normal_form(matrix) -> SNFResult:
             _, bi, bj = best
             if bi != t:
                 a[t], a[bi] = a[bi], a[t]
-                left[t], left[bi] = left[bi], left[t]
             if bj != t:
                 for row in a:
                     row[t], row[bj] = row[bj], row[t]
                 for row in right:
                     row[t], row[bj] = row[bj], row[t]
             if a[t][t] < 0:
-                for j in range(n):
-                    a[t][j] = -a[t][j]
-                    left[t][j] = -left[t][j]
+                a[t] = [-x for x in a[t]]
             pivot = a[t][t]
             clean = True
             for i in range(t + 1, n):
                 if a[i][t]:
-                    row_sub(i, t, a[i][t] // pivot)
+                    q = a[i][t] // pivot
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                     if a[i][t]:
                         clean = False
             for j in range(t + 1, n):
@@ -152,21 +151,16 @@ def smith_normal_form(matrix) -> SNFResult:
             if offender is None:
                 break
             # pull a non-multiple into the pivot row so the next pass shrinks the pivot
-            for j in range(n):
-                a[t][j] += a[offender][j]
-                left[t][j] += left[offender][j]
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
 
     diagonal = tuple(a[i][i] for i in range(n))
-    check = mat_mul(mat_mul(left, [list(r) for r in matrix]), right)
-    if any(check[i][j] != (diagonal[i] if i == j else 0) for i in range(n) for j in range(n)):
-        raise AssertionError("Smith form transforms do not reproduce the diagonal")
+    image = mat_mul([list(r) for r in matrix], right)
+    for j, s in enumerate(diagonal):
+        if any(row[j] % s for row in image):
+            raise AssertionError(f"Smith form column {j} of matrix @ right is not a multiple of {s}")
     if any(diagonal[i + 1] % diagonal[i] for i in range(n - 1)):
         raise AssertionError(f"Smith form diagonal {diagonal} is not a divisibility chain")
-    return SNFResult(
-        diagonal,
-        tuple(tuple(r) for r in left),
-        tuple(tuple(r) for r in right),
-    )
+    return SNFResult(diagonal, tuple(tuple(r) for r in right))
 
 
 # The pivot loop repeats the one in smith_normal_form on purpose: this routine
@@ -286,16 +280,13 @@ class Simplex:
         for row in rows:
             if not isinstance(row, list):
                 raise ValueError("each vertex must be a list of integers")
-            verts.append(tuple(_json_int(x) for x in row))
+            # decimal strings are accepted so outputs stringified beyond 2**53 round-trip
+            verts.append(tuple(ascii_int(x) if isinstance(x, str) else x for x in row))
         return cls(tuple(verts))
 
 
-def _json_int(x) -> int:
-    # decimal strings are accepted so outputs stringified beyond 2**53 round-trip
-    if isinstance(x, bool):
-        raise ValueError("vertex coordinates must be integers")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, str) and re.fullmatch("-?[0-9]+", x):
-        return int(x)
-    raise ValueError(f"vertex coordinates must be integers, got {x!r}")
+def ascii_int(text: str) -> int:
+    """Integer written -?[0-9]+; unlike int(), refuses '_', '+', spaces and non-ASCII digits."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"integer required, got {text!r}")
+    return int(text)

@@ -191,6 +191,21 @@ class TestCheck:
         code, _, err = run(capsys, ["check", "--delta", "1,x,4"])
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", "\uff13", "+3", " 3"])
+    def test_integers_are_ascii_digits_only(self, capsys, text):
+        # int() would read each of these; README allows only -?[0-9]+
+        code, out, _ = run(capsys, ["check", "--delta", f"1,{text},4"])
+        assert (code, out) == (2, "")
+        for argv in (
+            ["hnf", "--m", text, "--coeffs", "0,1,1,0", "--dim", "3"],
+            ["search", "--dim", "2", "--volume", text],
+            ["--budget", text, "check", "--delta", "1,0,4,0"],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert capsys.readouterr().out == ""
+
     def test_round_trip_with_delta(self, capsys, triangle_file):
         code, out, _ = run(capsys, ["delta", "--simplex", triangle_file])
         assert code == 0
@@ -272,6 +287,39 @@ class TestEnumerateAndSearch:
         assert capsys.readouterr().out == ""
 
 
+class TestBoxBudget:
+    """Commands that build a box group refuse a volume (its point count) over the budget."""
+
+    COMMANDS = {
+        "delta": ["delta", "--simplex", "{triangle}"],
+        "box": ["box", "--simplex", "{triangle}"],
+        "hnf": ["hnf", "--m", "5", "--coeffs", "0,1,1,0", "--dim", "3"],
+        "verify-simplex": ["verify", "--simplex", "{triangle}"],
+        "verify-spec": ["verify", "--m", "5", "--coeffs", "0,1,1,0", "--dim", "3"],
+    }
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_refused_over_budget(self, capsys, triangle_file, name):
+        argv = [a.format(triangle=triangle_file) for a in self.COMMANDS[name]]
+        code, out, err = run(capsys, ["--budget", "4", *argv])
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert error["message"] == "estimated 5 box points exceeds budget 4"
+        assert (error["estimate"], error["budget"]) == (5, 4)
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_unchanged_at_budget_equal_to_volume(self, capsys, triangle_file, name):
+        argv = [a.format(triangle=triangle_file) for a in self.COMMANDS[name]]
+        at_volume = run(capsys, ["--budget", "5", *argv])
+        assert at_volume[0] == 0
+        if name.startswith("verify"):
+            # the oracle is skipped at this budget; every other method is unchanged
+            full = json.loads(run(capsys, argv)[1])["methods"]
+            assert json.loads(at_volume[1])["methods"] == dict(full, oracle=None)
+        else:
+            assert at_volume[:2] == run(capsys, argv)[:2]
+
+
 class TestVerify:
     def test_family_member_all_methods(self, capsys):
         code, out, _ = run(capsys, ["verify", "--m", "5", "--coeffs", "0,1,1,0", "--dim", "3"])
@@ -293,11 +341,12 @@ class TestVerify:
         assert payload["methods"]["box"] == payload["methods"]["oracle"]
 
     def test_oracle_skipped_when_over_budget(self, capsys, triangle_file):
-        code, out, _ = run(capsys, ["verify", "--simplex", triangle_file, "--budget", "3"])
+        # the box group needs budget >= volume 5; the oracle needs more
+        code, out, _ = run(capsys, ["verify", "--simplex", triangle_file, "--budget", "5"])
         assert code == 0
         payload = json.loads(out)
         assert payload["methods"]["oracle"] is None
-        assert payload["oracle_skipped_estimate"] > 3
+        assert payload["oracle_skipped_estimate"] > 5
         assert payload["agree"] is True
 
     def test_requires_some_input(self, capsys):

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import deltasimplex
 
 ROUTES = ("box", "ehrhart", "hnf")
@@ -41,5 +43,6 @@ def test_group_does_not_use_the_counting_frame():
     assert not {"row_hermite_form", "adjugate"} & imported_names("box")
 
 
-def test_counting_is_integer_only():
-    assert not any(source == "fractions" for source, _ in imports("ehrhart"))
+@pytest.mark.parametrize("module", ("ehrhart", "box"))
+def test_counting_is_integer_only(module):
+    assert not any(source == "fractions" for source, _ in imports(module))
