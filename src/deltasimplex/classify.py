@@ -15,6 +15,7 @@ from .box import delta_from_box
 from .constraints import (
     CheckReport,
     ExponentList,
+    _validated_delta,
     check_pairing,
     check_superadditive,
     delta_from_exponents,
@@ -22,9 +23,8 @@ from .constraints import (
     is_prime,
     reduced_pairs,
 )
-from .ehrhart import DEFAULT_BUDGET, BudgetExceededError
 from .hnf import HNFSpec, closed_form_delta
-from .lattice import Simplex
+from .lattice import DEFAULT_BUDGET, Simplex, within_budget
 
 _PATTERN_CASES = {
     5: {
@@ -77,9 +77,10 @@ def admissible(delta, p: int) -> CheckReport:
     """
     if p not in (5, 7):
         raise ValueError("classification covers volumes 5 and 7 only")
+    m = sum(_validated_delta(delta))  # before building the list of m - 1 exponents
+    if m != p:
+        raise ValueError(f"delta-vector sums to {m}, expected {p}")
     e = exponents(delta)
-    if e.m != p:
-        raise ValueError(f"delta-vector sums to {e.m}, expected {p}")
     violations = check_pairing(e).violations
     violations += check_superadditive(e, pairs=reduced_pairs(p)).violations
     return CheckReport("admissible", violations)
@@ -196,9 +197,7 @@ def enumerate_admissible(p: int, d: int, budget: int = DEFAULT_BUDGET) -> list[W
     if d < 1:
         raise ValueError("dimension must be >= 1")
     h = (p - 1) // 2
-    estimate = comb((d + 1) // 2 + h, h + 1) + comb(d // 2 + h, h + 1)
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget, "candidates")
+    within_budget(comb((d + 1) // 2 + h, h + 1) + comb(d // 2 + h, h + 1), budget, "candidates")
     pairs = reduced_pairs(p)
     results = []
     for c in range(2, d + 2):
@@ -278,16 +277,14 @@ def _matrix_count(d: int, vol: int) -> int:
     return tail[vol]
 
 
-def exhaustive_search(
-    d: int, vol: int, budget: int = DEFAULT_BUDGET
-) -> tuple[tuple[int, ...], ...]:
+def exhaustive_search(d: int, vol: int, budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...], ...]:
     """Ground truth: the set of delta-vectors over all matrices from `iter_hnf_matrices`.
 
-    Returned sorted. The budget bounds the exact number of matrices.
+    Returned sorted. The budget bounds the exact number of matrices, then the
+    vol points of each one's box group (more than the matrices only at d = 1).
     """
     if d < 1 or vol < 1:
         raise ValueError("need d >= 1 and vol >= 1")
-    estimate = _matrix_count(d, vol)
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget, "matrices")
+    within_budget(_matrix_count(d, vol), budget, "matrices")
+    within_budget(vol, budget, "box points")
     return tuple(sorted({delta_from_box(simplex) for simplex in iter_hnf_simplices(d, vol)}))

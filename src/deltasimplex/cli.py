@@ -15,15 +15,10 @@ from pathlib import Path
 
 from .box import delta_from_box, enumerate_box
 from .classify import _witness, admissible, enumerate_admissible, exhaustive_search
-from .constraints import exponents, run_all_checks
-from .ehrhart import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    ehrhart_delta,
-    ehrhart_table,
-)
+from .constraints import _validated_delta, exponents, least_prime_divisor, run_all_checks
+from .ehrhart import ehrhart_delta, ehrhart_table
 from .hnf import HNFSpec, build_simplex, closed_form_delta
-from .lattice import Simplex, ascii_int
+from .lattice import DEFAULT_BUDGET, BudgetExceededError, Simplex, ascii_int, within_budget
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -105,8 +100,7 @@ def _load_simplex(path):
 
 def _box_budget(simplex, budget):
     """Refuse a box group over budget before building it: it has one point per unit of volume."""
-    if simplex.normalized_volume > budget:
-        raise BudgetExceededError(simplex.normalized_volume, budget, "box points")
+    within_budget(simplex.normalized_volume, budget, "box points")
     return simplex
 
 
@@ -168,7 +162,11 @@ def _cmd_hnf(args):
 
 
 def _cmd_check(args):
-    report = run_all_checks(_parse_int_list(args.delta, "--delta"))
+    delta = _validated_delta(_parse_int_list(args.delta, "--delta"))
+    m = sum(delta)  # m - 1 exponents, then ((g - 1) // 2)**2 pairs below g, m's least prime divisor
+    g = least_prime_divisor(m) if 1 < m <= args.budget + 1 else m  # beyond, m - 1 alone refuses
+    within_budget(m - 1 + ((g - 1) // 2) ** 2, args.budget, "exponents and pairs")
+    report = run_all_checks(delta)
     payload = dict(report)
     payload["checks"] = {name: _report_dict(r) for name, r in report["checks"].items()}
     _emit(payload, args)
@@ -191,7 +189,7 @@ def _cmd_classify(args):
         )
         return EXIT_NEGATIVE
     found = _witness(exponents(delta))
-    verified = delta_from_box(build_simplex(found.spec)) == found.delta
+    verified = delta_from_box(_box_budget(build_simplex(found.spec), args.budget)) == found.delta
     _emit(
         {
             "admissible": True,
@@ -287,7 +285,7 @@ def _cmd_verify(args):
 
 
 def _build_parser():
-    budget_help = "work budget in bounding-box cells / box points / matrices / candidates"
+    budget_help = "work budget in cells / box points / matrices / candidates / exponents and pairs"
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=ascii_int, default=argparse.SUPPRESS, help=budget_help)
     common.add_argument("--output", choices=("json", "text"), default=argparse.SUPPRESS)

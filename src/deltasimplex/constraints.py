@@ -11,6 +11,7 @@ their witnesses.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 def least_prime_divisor(m: int) -> int:
@@ -158,10 +159,8 @@ def check_stanley(delta) -> CheckReport:
     nonzero-leading ones, for i up to half the degree."""
     entries = _validated_delta(delta)
     s = max(i for i, x in enumerate(entries) if x != 0)
-    violations = []
-    for i in range(s // 2 + 1):
-        if sum(entries[: i + 1]) > sum(entries[s - i : s + 1]):
-            violations.append(i)
+    total = list(accumulate(entries, initial=0))  # total[k] = sum(entries[:k])
+    violations = [i for i in range(s // 2 + 1) if total[i + 1] > total[s + 1] - total[s - i]]
     return _report("stanley", violations)
 
 
@@ -170,10 +169,10 @@ def check_hibi(delta) -> CheckReport:
     for i up to half of d-1."""
     entries = _validated_delta(delta)
     d = len(entries) - 1
-    violations = []
-    for i in range((d - 1) // 2 + 1):
-        if sum(entries[d - i : d + 1]) > sum(entries[1 : i + 2]):
-            violations.append(i)
+    total = list(accumulate(entries, initial=0))  # total[k] = sum(entries[:k])
+    violations = [
+        i for i in range((d - 1) // 2 + 1) if total[d + 1] - total[d - i] > total[i + 2] - total[1]
+    ]
     return _report("hibi", violations)
 
 

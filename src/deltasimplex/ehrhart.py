@@ -9,18 +9,8 @@ the parallelepiped-group path.
 from dataclasses import dataclass
 from math import comb
 
-from .lattice import Simplex, adjugate, mat_vec, row_hermite_form
-
-DEFAULT_BUDGET = 10**8
-
-
-class BudgetExceededError(RuntimeError):
-    """Estimated work exceeds the caller's budget; carries the estimate and what it counted."""
-
-    def __init__(self, estimate: int, budget: int, unit: str):
-        super().__init__(f"estimated {estimate} {unit} exceeds budget {budget}")
-        self.estimate = estimate
-        self.budget = budget
+from .lattice import DEFAULT_BUDGET, Simplex, adjugate, mat_vec, row_hermite_form, within_budget
+from .lattice import BudgetExceededError  # unused here; kept importable from this module
 
 
 def cell_estimate(s: Simplex, n: int) -> int:
@@ -77,9 +67,7 @@ def _count_level(frame, level, affine, used, total_budget, q):
 
 def _budgeted_frame(s: Simplex, n: int, budget: int) -> _CountingFrame:
     """Counting frame of s, refused when the n-th dilate's cell estimate exceeds the budget."""
-    estimate = cell_estimate(s, n)
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget, "bounding-box cells")
+    within_budget(cell_estimate(s, n), budget, "bounding-box cells")
     return _CountingFrame(s)
 
 

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra and the full-dimensional lattice simplex type.
+"""Exact integer linear algebra, the full-dimensional lattice simplex type and the work budget.
 
 Everything here runs on Python's arbitrary-precision integers, so all results
 are exact and overflow cannot happen silently.
@@ -6,6 +6,23 @@ are exact and overflow cannot happen silently.
 
 import re
 from dataclasses import dataclass, field
+
+DEFAULT_BUDGET = 10**8
+
+
+class BudgetExceededError(RuntimeError):
+    """Estimated work exceeds the caller's budget; carries the estimate and what it counted."""
+
+    def __init__(self, estimate: int, budget: int, unit: str):
+        super().__init__(f"estimated {estimate} {unit} exceeds budget {budget}")
+        self.estimate = estimate
+        self.budget = budget
+
+
+def within_budget(estimate: int, budget: int, unit: str) -> None:
+    """The one budget gate: refuse work whose estimate, counted in `unit`, exceeds the budget."""
+    if estimate > budget:
+        raise BudgetExceededError(estimate, budget, unit)
 
 
 class DegenerateSimplexError(ValueError):

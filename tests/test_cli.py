@@ -320,6 +320,65 @@ class TestBoxBudget:
             assert at_volume[:2] == run(capsys, argv)[:2]
 
 
+class TestEveryCommandBudget:
+    """Every command refuses over --budget with exit 3 before its guarded work, naming the unit."""
+
+    CASES = {
+        "delta": (["delta", "--simplex", "{triangle}"], 4, "box points"),
+        "box": (["box", "--simplex", "{triangle}"], 4, "box points"),
+        "oracle": (["oracle", "--simplex", "{triangle}"], 100, "bounding-box cells"),
+        "hnf": (["hnf", "--m", "5", "--coeffs", "0,1,1,0", "--dim", "3"], 4, "box points"),
+        "check": (["check", "--delta", "1,6006"], 10, "exponents and pairs"),
+        "classify": (["classify", "--delta", "1,0,4,0", "--volume", "5"], 3, "box points"),
+        "enumerate": (["enumerate", "--volume", "7", "--dim", "1000"], 10, "candidates"),
+        "search": (["search", "--dim", "1", "--volume", "3000000"], 10, "box points"),
+        "verify": (["verify", "--simplex", "{triangle}"], 4, "box points"),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_refused_with_its_unit(self, capsys, triangle_file, name):
+        argv, budget, unit = self.CASES[name]
+        argv = [a.format(triangle=triangle_file) for a in argv]
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["--budget", str(budget), *argv])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        [line] = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "budget-exceeded"
+        assert error["message"] == f"estimated {error['estimate']} {unit} exceeds budget {budget}"
+        assert error["estimate"] > error["budget"] == budget
+
+    def test_check_refuses_before_building_the_exponents(self, capsys):
+        # 10**14 exponents do not fit in memory; the refusal comes first
+        code, out, err = run(capsys, ["check", "--delta", "1,100000000000000"])
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["estimate"] == str(10**14 + (10**14 // 2) ** 2)
+
+    def test_check_validates_before_the_budget(self, capsys):
+        code, out, err = run(capsys, ["--budget", "10", "check", "--delta", "2,100000000000000"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == "delta_0 must be 1"
+
+    def test_classify_compares_the_sum_before_building_the_exponents(self, capsys):
+        code, out, err = run(capsys, ["classify", "--delta", "1,100000000000000", "--volume", "5"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == "delta-vector sums to 100000000000001, expected 5"
+
+    def test_inadmissible_vector_builds_no_group(self, capsys):
+        code, out, _ = run(capsys, ["--budget", "3", "classify", "--delta", "1,0,2,0,1,1,0,2,0", "--volume", "7"])
+        assert code == 1
+        assert json.loads(out)["admissible"] is False
+
+    def test_check_is_linear_in_the_vector_length(self, capsys):
+        delta = ",".join(["1"] + ["0"] * 60000 + ["1"])
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["--budget", "10", "check", "--delta", delta])
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert json.loads(out)["checks"]["hibi"]["violations"] == list(range(30001))
+
+
 class TestVerify:
     def test_family_member_all_methods(self, capsys):
         code, out, _ = run(capsys, ["verify", "--m", "5", "--coeffs", "0,1,1,0", "--dim", "3"])

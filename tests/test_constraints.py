@@ -178,6 +178,21 @@ class TestCumulativeChecks:
         delta = delta_from_exponents(e)
         assert check_hibi(delta).ok == check_hibi_exponents(e).ok
 
+    def test_running_sums_match_the_slice_sum_definition(self):
+        def stanley(delta):
+            s = max(i for i, x in enumerate(delta) if x != 0)
+            return tuple(i for i in range(s // 2 + 1) if sum(delta[: i + 1]) > sum(delta[s - i : s + 1]))
+
+        def hibi(delta):
+            d = len(delta) - 1
+            return tuple(i for i in range((d - 1) // 2 + 1) if sum(delta[d - i :]) > sum(delta[1 : i + 2]))
+
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            delta = (1,) + tuple(rng.choice((0, 0, 0, 1, 1, 2, 3, 5)) for _ in range(rng.randint(1, 14)))
+            assert check_stanley(delta).violations == stanley(delta)
+            assert check_hibi(delta).violations == hibi(delta)
+
     def test_exponent_forms_on_examples(self):
         e = exponents((1, 0, 2, 0, 1, 1, 0, 2, 0))
         assert check_stanley_exponents(e).ok
