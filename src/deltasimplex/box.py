@@ -63,9 +63,7 @@ def _box_coordinates(s: Simplex):
     element order for every i.
     """
     d = s.dim
-    hom = s.homogeneous_matrix()
-    transposed = tuple(tuple(hom[i][j] for i in range(d + 1)) for j in range(d + 1))
-    snf = smith_normal_form(transposed)
+    snf = smith_normal_form(tuple(zip(*s.homogeneous_matrix())))
     den = snf.diagonal[-1]
 
     generators = []

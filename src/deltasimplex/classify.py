@@ -7,8 +7,11 @@ the multiplicity pattern of the exponents. An exhaustive search over
 triangular vertex matrices provides the ground truth at small dimension.
 """
 
+import marshal
+import os
+import signal
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, groupby, islice, product
 from math import comb, isqrt
 
 from .box import delta_from_box
@@ -277,14 +280,75 @@ def _matrix_count(d: int, vol: int) -> int:
     return tail[vol]
 
 
+def _stride(d: int, vol: int, k: int, workers: int) -> set:
+    """Delta-vectors of matrices k, k + workers, k + 2*workers, ... of `iter_hnf_matrices`."""
+    origin = (0,) * d
+    return {
+        delta_from_box(Simplex((origin,) + rows))
+        for rows in islice(iter_hnf_matrices(d, vol), k, None, workers)
+    }
+
+
+def _worker(d: int, vol: int, k: int, workers: int, write_fd: int):
+    """Forked child: send stride k's sorted delta-vectors, or the message of its failed check.
+
+    Never returns, so the child cannot run on in its parent's frames or flush its parent's
+    stdio. It exits 0 only once the whole reply is written.
+    """
+    status = 1
+    try:
+        try:
+            reply = sorted(_stride(d, vol, k, workers))
+        except AssertionError as exc:
+            reply = str(exc)
+        with os.fdopen(write_fd, "wb") as pipe:
+            marshal.dump(reply, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def exhaustive_search(d: int, vol: int, budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...], ...]:
     """Ground truth: the set of delta-vectors over all matrices from `iter_hnf_matrices`.
 
     Returned sorted. The budget bounds the exact number of matrices, then the
     vol points of each one's box group (more than the matrices only at d = 1).
+    The matrices are split into one stride per CPU this process may run on,
+    at most one per matrix: this process takes stride 0 and a forked child
+    each other one. A check failing in a child raises here with its message.
     """
     if d < 1 or vol < 1:
         raise ValueError("need d >= 1 and vol >= 1")
-    within_budget(_matrix_count(d, vol), budget, "matrices")
+    count = _matrix_count(d, vol)
+    within_budget(count, budget, "matrices")
     within_budget(vol, budget, "box points")
-    return tuple(sorted({delta_from_box(simplex) for simplex in iter_hnf_simplices(d, vol)}))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, count)
+    children = []  # (stride, pid, read end of its pipe) of every child not yet reaped
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(d, vol, k, workers, write_fd)
+            os.close(write_fd)
+            children.append((k, pid, os.fdopen(read_fd, "rb")))
+        found = _stride(d, vol, 0, workers)
+        while children:
+            k, pid, pipe = children[0]
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            pipe.close()
+            if code:
+                raise AssertionError(f"search worker {k} exited with code {code} before sending its deltas")
+            reply = marshal.loads(data)
+            if isinstance(reply, str):
+                raise AssertionError(reply)
+            found.update(reply)
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return tuple(sorted(found))

@@ -95,7 +95,11 @@ def _parse_int_list(text, what):
 
 def _load_simplex(path):
     text = Path(path).read_text(encoding="utf-8")
-    return Simplex.from_json_dict(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    return Simplex.from_json_dict(obj)
 
 
 def _box_budget(simplex, budget):

@@ -6,6 +6,7 @@ are exact and overflow cannot happen silently.
 
 import re
 from dataclasses import dataclass, field
+from operator import sub
 
 DEFAULT_BUDGET = 10**8
 
@@ -107,6 +108,25 @@ class SNFResult:
     right: tuple[tuple[int, ...], ...]
 
 
+def _least_entry(a, t):
+    """Row-major first position (i, j), i, j >= t, of the least nonzero |a[i][j]|.
+
+    The scan stops at the first entry of absolute value 1, since none can be less.
+    """
+    best = None
+    for i in range(t, len(a)):
+        row = a[i]
+        for j in range(t, len(a)):
+            v = abs(row[j])
+            if v and (best is None or v < best[0]):
+                if v == 1:
+                    return i, j
+                best = (v, i, j)
+    if best is None:
+        raise ValueError("matrix is singular")
+    return best[1], best[2]
+
+
 def smith_normal_form(matrix) -> SNFResult:
     """Smith normal form of a nonsingular square integer matrix; only `right` is tracked.
 
@@ -124,15 +144,7 @@ def smith_normal_form(matrix) -> SNFResult:
 
     for t in range(n):
         while True:
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    v = abs(a[i][j])
-                    if v and (best is None or v < best[0]):
-                        best = (v, i, j)
-            if best is None:
-                raise ValueError("matrix is singular")
-            _, bi, bj = best
+            bi, bj = _least_entry(a, t)
             if bi != t:
                 a[t], a[bi] = a[bi], a[t]
             if bj != t:
@@ -157,6 +169,8 @@ def smith_normal_form(matrix) -> SNFResult:
                         clean = False
             if not clean:
                 continue
+            if pivot == 1:
+                break
             offender = None
             for i in range(t + 1, n):
                 for j in range(t + 1, n):
@@ -171,10 +185,12 @@ def smith_normal_form(matrix) -> SNFResult:
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
 
     diagonal = tuple(a[i][i] for i in range(n))
-    image = mat_mul([list(r) for r in matrix], right)
-    for j, s in enumerate(diagonal):
-        if any(row[j] % s for row in image):
-            raise AssertionError(f"Smith form column {j} of matrix @ right is not a multiple of {s}")
+    # divisibility by s_j = 1 is vacuous, so only the columns with s_j > 1 are multiplied out
+    checked = [j for j, s in enumerate(diagonal) if s > 1]
+    image = mat_mul([list(r) for r in matrix], [[row[j] for j in checked] for row in right])
+    for c, j in enumerate(checked):
+        if any(row[c] % diagonal[j] for row in image):
+            raise AssertionError(f"Smith form column {j} of matrix @ right is not a multiple of {diagonal[j]}")
     if any(diagonal[i + 1] % diagonal[i] for i in range(n - 1)):
         raise AssertionError(f"Smith form diagonal {diagonal} is not a divisibility chain")
     return SNFResult(diagonal, tuple(tuple(r) for r in right))
@@ -249,7 +265,7 @@ class Simplex:
     _edge_det: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        verts = tuple(tuple(_as_int(x) for x in v) for v in self.vertices)
+        verts = tuple(tuple(map(_as_int, v)) for v in self.vertices)
         if len(verts) < 2:
             raise ValueError("a simplex needs at least two vertices")
         d = len(verts) - 1
@@ -273,10 +289,7 @@ class Simplex:
     def edge_matrix(self):
         """Columns v_i - v_0 for i = 1..d."""
         v0 = self.vertices[0]
-        d = self.dim
-        return tuple(
-            tuple(self.vertices[j + 1][i] - v0[i] for j in range(d)) for i in range(d)
-        )
+        return tuple(zip(*(map(sub, v, v0) for v in self.vertices[1:])))
 
     def homogeneous_matrix(self):
         """Rows (v_i, 1) for i = 0..d."""

@@ -67,6 +67,18 @@ class TestDelta:
         assert out == ""
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("command", ["delta", "box", "oracle", "verify"])
+    def test_deeply_nested_file_is_malformed_input(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code, out, err = run(capsys, [command, "--simplex", str(path)])
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == {
+            "type": "ValueError",
+            "message": f"{path}: JSON nested too deeply",
+        }
+
 
 class TestBox:
     def test_segment_points(self, capsys, segment_file):

@@ -44,6 +44,14 @@ FAULTS = {
         "lambda: lattice.smith_normal_form([[2, 1], [0, 3]])",
         "of matrix @ right is not a multiple of",
     ),
+    "search-worker": (
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "parent, real = os.getpid(), classify.delta_from_box\n"
+        "classify.delta_from_box = lambda s: real(s) if os.getpid() == parent else os._exit(3)",
+        "lambda: classify.exhaustive_search(3, 5), lambda: classify.exhaustive_search(2, 12)",
+        "search worker 1 exited with code 3",
+    ),
     "dilate-count-off-by-one": (
         "real = ehrhart._count_dilate\n"
         "ehrhart._count_dilate = lambda frame, n, interior: real(frame, n, interior) + 1",

@@ -71,3 +71,19 @@ def test_one_budget_refusal_in_the_package():
 
 def test_classification_does_not_use_the_counting_route():
     assert not any("ehrhart" in source for source, _ in imports("classify"))
+
+
+def test_one_fork_and_no_process_pool_in_the_package():
+    """The search forks its workers at one call site; no pool module is imported, since
+    importing one costs more resident memory than a small search uses."""
+    forks, pools = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path.stem)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "fork" and getattr(node.func.value, "id", None) == "os":
+                    forks.append((path.stem, node.lineno))
+        for source, name in imports(path.stem):
+            if {source.split(".")[0], (name or "").split(".")[0]} & {"multiprocessing", "concurrent"}:
+                pools.append((path.stem, source, name))
+    assert [module for module, _ in forks] == ["classify"], forks
+    assert pools == []
