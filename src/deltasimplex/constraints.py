@@ -13,6 +13,8 @@ their witnesses.
 from dataclasses import dataclass
 from itertools import accumulate
 
+from .lattice import _as_int
+
 
 def least_prime_divisor(m: int) -> int:
     """Smallest prime dividing m (trial division)."""
@@ -38,8 +40,8 @@ class ExponentList:
     dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if self.dim < 1:
+        object.__setattr__(self, "values", tuple(map(_as_int, self.values)))
+        if _as_int(self.dim) < 1:
             raise ValueError("dimension must be >= 1")
         if any(not 1 <= v <= self.dim for v in self.values):
             raise ValueError("exponents must lie in [1, dim]")
@@ -53,7 +55,7 @@ class ExponentList:
 
 
 def _validated_delta(delta) -> tuple[int, ...]:
-    entries = tuple(int(x) for x in delta)
+    entries = tuple(map(_as_int, delta))
     if len(entries) < 2:
         raise ValueError("delta-vector needs length >= 2")
     if entries[0] != 1:

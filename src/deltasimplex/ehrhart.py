@@ -9,7 +9,7 @@ the parallelepiped-group path.
 from dataclasses import dataclass
 from math import comb
 
-from .lattice import DEFAULT_BUDGET, Simplex, adjugate, mat_vec, row_hermite_form, within_budget
+from .lattice import DEFAULT_BUDGET, Simplex, row_hermite_form, within_budget
 from .lattice import BudgetExceededError  # unused here; kept importable from this module
 
 
@@ -25,42 +25,44 @@ def cell_estimate(s: Simplex, n: int) -> int:
 class _CountingFrame:
     """Per-simplex data for membership counting.
 
-    A unimodular change of coordinates makes the edge matrix upper triangular,
-    so the scaled barycentric coordinates y = adj(H) @ (x - n*c) resolve one
-    ambient coordinate at a time; membership needs y >= 0 with sum(y) <= n*det.
+    Lattice-point counts do not change under the integer translation by n*v_0,
+    so the n-th dilate is counted with v_0 at the origin. A unimodular change
+    of coordinates z = W @ x makes the edge matrix its row Hermite form H, upper
+    triangular, so the scaled barycentric coordinates y = det * H^-1 @ z resolve
+    one coordinate at a time; membership needs y >= 0 with sum(y) <= n*det.
+    Only H is kept: W permutes the lattice, so the count over z needs no W.
     """
 
     def __init__(self, s: Simplex):
-        w, h = row_hermite_form(s.edge_matrix())
+        self.h = row_hermite_form(s.edge_matrix())
         self.dim = s.dim
-        self.det = 1
-        for i in range(s.dim):
-            self.det *= h[i][i]
-        self.adj = adjugate(h)  # upper triangular, positive diagonal
-        self.origin = mat_vec(w, s.vertices[0])
+        self.det = s.normalized_volume  # the product of H's positive diagonal
+        self.pivots = [self.det // self.h[k][k] for k in range(s.dim)]
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _count_level(frame, level, affine, used, total_budget, q):
+def _count_level(frame, level, partial, used, total_budget, q):
     """Count integer points below `level` given fixed outer coordinates.
 
-    `affine[k]` holds the affine part of y_k accumulated so far; `used` is the
-    sum of the y values already fixed. Levels are processed from dim-1 down to
-    0, matching the upper-triangular adjugate.
+    `partial[k]` holds -sum(h[k][j] * y_j) over the levels j > k fixed so far,
+    and `used` is the sum of those y_j. Levels run from dim-1 down to 0, back-
+    substituting in H @ y = det * z: y_k = (det * z_k + partial[k]) / h[k][k].
     """
-    adj = frame.adj
-    pivot = adj[level][level]
-    low = _ceil_div(q - affine[level], pivot)
-    high = (total_budget - used - level * q - affine[level]) // pivot
+    h = frame.h
+    pivot = frame.pivots[level]
+    # exact: y = adj(H) @ z is integral and h[k][k] divides det, so it divides partial[k]
+    affine = partial[level] // h[level][level]
+    low = _ceil_div(q - affine, pivot)
+    high = (total_budget - used - level * q - affine) // pivot
     if level == 0:
         return high - low + 1 if high >= low else 0
     count = 0
-    for x in range(low, high + 1):
-        y = affine[level] + pivot * x
-        inner = [affine[i] + adj[i][level] * x for i in range(level)]
+    for z in range(low, high + 1):
+        y = affine + pivot * z
+        inner = [partial[i] - h[i][level] * y for i in range(level)]
         count += _count_level(frame, level - 1, inner, used + y, total_budget, q)
     return count
 
@@ -83,9 +85,7 @@ def count_lattice_points(
 def _count_dilate(frame, n, interior):
     d = frame.dim
     q = 1 if interior else 0
-    shift = [-n * c for c in frame.origin]
-    affine = [sum(frame.adj[i][j] * shift[j] for j in range(d)) for i in range(d)]
-    return _count_level(frame, d - 1, affine, 0, n * frame.det - q, q)
+    return _count_level(frame, d - 1, [0] * d, 0, n * frame.det - q, q)
 
 
 def _delta_from_counts(counts, volume: int) -> tuple[int, ...]:

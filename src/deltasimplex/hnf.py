@@ -11,7 +11,7 @@ workhorse for constructing witnesses with a prescribed delta-vector.
 from dataclasses import dataclass
 
 from .constraints import least_prime_divisor
-from .lattice import Simplex
+from .lattice import Simplex, _as_int
 
 
 @dataclass(frozen=True)
@@ -23,10 +23,10 @@ class HNFSpec:
     dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if self.m < 2:
+        object.__setattr__(self, "coeffs", tuple(map(_as_int, self.coeffs)))
+        if _as_int(self.m) < 2:
             raise ValueError("volume m must be >= 2")
-        if self.dim < 1:
+        if _as_int(self.dim) < 1:
             raise ValueError("dimension must be >= 1")
         if len(self.coeffs) != self.m - 1:
             raise ValueError(f"expected {self.m - 1} coefficients, got {len(self.coeffs)}")

@@ -64,32 +64,9 @@ def exact_det(matrix) -> int:
     return sign * a[-1][-1]
 
 
-def adjugate(matrix):
-    """Adjugate matrix, satisfying adjugate(M) @ M = det(M) * I exactly."""
-    n = _check_square(matrix)
-    if n == 1:
-        return ((1,),)
-    rows = [tuple(row) for row in matrix]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:j] + row[j + 1:] for k, row in enumerate(rows) if k != i]
-            c = exact_det(minor)
-            adj[j][i] = -c if (i + j) % 2 else c
-    return tuple(tuple(row) for row in adj)
-
-
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a, b):
     n, m, p = len(a), len(b), len(b[0])
     return [[sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)] for i in range(n)]
-
-
-def mat_vec(m, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
 @dataclass(frozen=True)
@@ -135,7 +112,7 @@ def smith_normal_form(matrix) -> SNFResult:
     """
     n = _check_square(matrix)
     a = [[int(x) for x in row] for row in matrix]
-    right = identity_matrix(n)
+    right = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def col_sub(j, k, q):
         for i in range(n):
@@ -200,20 +177,13 @@ def smith_normal_form(matrix) -> SNFResult:
 # feeds the dilate-counting oracle, which must share no code with the box
 # route it checks.
 def row_hermite_form(matrix):
-    """Row-reduce a nonsingular integer matrix: returns (W, H) with H = W @ matrix.
+    """Row Hermite form H of a nonsingular integer matrix, H = W @ matrix for some unimodular W.
 
-    W is unimodular; H is upper triangular with positive diagonal and entries
-    above each pivot reduced into [0, pivot).
+    H is upper triangular with positive diagonal and entries above each pivot
+    reduced into [0, pivot); W itself is not kept.
     """
     n = _check_square(matrix)
     a = [[int(x) for x in row] for row in matrix]
-    w = identity_matrix(n)
-
-    def row_sub(i, k, q):
-        for j in range(n):
-            a[i][j] -= q * a[k][j]
-            w[i][j] -= q * w[k][j]
-
     for col in range(n):
         while True:
             best = None
@@ -226,16 +196,14 @@ def row_hermite_form(matrix):
             _, bi = best
             if bi != col:
                 a[col], a[bi] = a[bi], a[col]
-                w[col], w[bi] = w[bi], w[col]
             if a[col][col] < 0:
-                for j in range(n):
-                    a[col][j] = -a[col][j]
-                    w[col][j] = -w[col][j]
+                a[col] = [-x for x in a[col]]
             pivot = a[col][col]
             clean = True
             for i in range(col + 1, n):
                 if a[i][col]:
-                    row_sub(i, col, a[i][col] // pivot)
+                    q = a[i][col] // pivot
+                    a[i] = [x - q * y for x, y in zip(a[i], a[col])]
                     if a[i][col]:
                         clean = False
             if clean:
@@ -243,9 +211,9 @@ def row_hermite_form(matrix):
         for i in range(col):
             q = a[i][col] // a[col][col]
             if q:
-                row_sub(i, col, q)
+                a[i] = [x - q * y for x, y in zip(a[i], a[col])]
 
-    return tuple(tuple(r) for r in w), tuple(tuple(r) for r in a)
+    return tuple(tuple(r) for r in a)
 
 
 def _as_int(x):

@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+import deltasimplex.cli
 import deltasimplex.ehrhart
 from conftest import random_simplex
 from deltasimplex import delta_from_box
@@ -262,6 +263,24 @@ class TestEnumerateAndSearch:
         assert [e["delta"] for e in payload["entries"]] == [[1, 2, 2], [1, 4, 0]]
         assert payload["crosscheck"]["match"] is True
 
+    def test_crosscheck_mismatch_is_a_negative_verdict(self, capsys, monkeypatch):
+        real = deltasimplex.cli.exhaustive_search
+
+        def off_by_two(d, vol, budget):
+            return tuple(v for v in real(d, vol, budget=budget) if v != (1, 4, 0)) + ((1, 3, 1),)
+
+        monkeypatch.setattr(deltasimplex.cli, "exhaustive_search", off_by_two)
+        code, out, err = run(
+            capsys,
+            ["enumerate", "--volume", "5", "--dim", "2", "--exhaustive-crosscheck"],
+        )
+        assert (code, err) == (1, "")
+        assert json.loads(out)["crosscheck"] == {
+            "match": False,
+            "search_only": [[1, 3, 1]],
+            "enumerate_only": [[1, 4, 0]],
+        }
+
     def test_search(self, capsys):
         code, out, _ = run(capsys, ["search", "--dim", "2", "--volume", "5"])
         assert code == 0
@@ -430,6 +449,40 @@ class TestVerify:
             ["verify", "--simplex", segment_file, "--m", "5", "--coeffs", "0,0,0,0", "--dim", "1"],
         )
         assert code == 2
+
+
+class TestMalformedInput:
+    """Each malformed input exits 2 with empty stdout and exactly one error object."""
+
+    CASES = {
+        "verify-spec-without-dim": (
+            ["verify", "--m", "5", "--coeffs", "0,1,1,0"], None,
+            "--m, --coeffs and --dim must be given together",
+        ),
+        "enumerate-dim-0": (["enumerate", "--volume", "5", "--dim", "0"], None, "dimension must be >= 1"),
+        "search-dim-0": (["search", "--dim", "0", "--volume", "5"], None, "need d >= 1 and vol >= 1"),
+        "no-vertices": (
+            ["delta", "--simplex", "{file}"], {"vertices": []},
+            '"vertices" must be a nonempty list of integer rows',
+        ),
+        "vertex-not-a-list": (
+            ["delta", "--simplex", "{file}"], {"vertices": [5, 6]}, "each vertex must be a list of integers",
+        ),
+        "one-vertex": (
+            ["delta", "--simplex", "{file}"], {"vertices": [[0]]}, "a simplex needs at least two vertices",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_exits_2_with_one_error(self, capsys, tmp_path, name):
+        argv, content, message = self.CASES[name]
+        path = tmp_path / "simplex.json"
+        if content is not None:
+            path.write_text(json.dumps(content))
+        code, out, err = run(capsys, [a.format(file=path) for a in argv])
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        assert json.loads(line) == {"error": {"type": "ValueError", "message": message}}
 
 
 class TestOutputModes:

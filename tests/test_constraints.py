@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from deltasimplex import (
     ExponentList,
+    HNFSpec,
     check_hibi,
     check_hibi_exponents,
     check_nonprime,
@@ -19,6 +20,7 @@ from deltasimplex import (
     least_prime_divisor,
     reduced_pairs,
     run_all_checks,
+    witness,
 )
 
 
@@ -73,6 +75,30 @@ class TestExponents:
     @given(exponent_lists())
     def test_roundtrip_identity(self, e):
         assert exponents(delta_from_exponents(e)) == e
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: witness((1, 0, 4.9, 0), 5),
+        lambda: run_all_checks((1, 1.9, 2.5)),
+        lambda: exponents((1, "2", 0)),
+        lambda: exponents((1, True, 3)),
+        lambda: ExponentList((2, 2), 3.0),
+        lambda: HNFSpec(5, (0, 1.7, 1, 0), 3),
+        lambda: HNFSpec(5.0, (0, 1, 1, 0), 3),
+        lambda: HNFSpec(5, (0, 1, 1, 0), 3.0),
+        lambda: HNFSpec(True, (), 3),
+    ],
+    ids=[
+        "witness-float", "checks-float", "exponents-str", "exponents-bool", "exponent-dim-float",
+        "spec-coeff-float", "spec-m-float", "spec-dim-float", "spec-m-bool",
+    ],
+)
+def test_library_inputs_are_integers_only(call):
+    """Bools, floats and strings are refused, not truncated or parsed."""
+    with pytest.raises(ValueError, match="integer required"):
+        call()
 
 
 class TestPairing:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltasimplex import DegenerateSimplexError, Simplex, exact_det, smith_normal_form
-from deltasimplex.lattice import adjugate, mat_mul, row_hermite_form
+from deltasimplex.lattice import mat_mul, row_hermite_form
 
 
 def identity(n):
@@ -40,21 +40,6 @@ class TestExactDet:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             exact_det([[1, 2]])
-
-
-class TestAdjugate:
-    def test_scaled_inverse_identity(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            n = rng.randint(1, 5)
-            m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            det = exact_det(m)
-            product = mat_mul(list(adjugate(m)), m)
-            assert all(
-                product[i][j] == (det if i == j else 0)
-                for i in range(n)
-                for j in range(n)
-            )
 
 
 class TestSmithNormalForm:
@@ -121,16 +106,24 @@ class TestRowHermiteForm:
         for _ in range(200):
             n = rng.randint(1, 5)
             m = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
-            if exact_det(m) == 0:
+            det = exact_det(m)
+            if det == 0:
                 continue
-            w, h = row_hermite_form(m)
-            assert mat_mul([list(r) for r in w], m) == [list(r) for r in h]
-            assert abs(exact_det(w)) == 1
+            h = row_hermite_form(m)
             for i in range(n):
                 assert h[i][i] > 0
                 assert all(h[i][j] == 0 for j in range(i))
                 # entries above each pivot are reduced
                 assert all(0 <= h[j][i] < h[i][i] for j in range(i))
+            assert exact_det(h) == abs(det)
+            # every row of M lies in the row lattice of H: forward substitution leaves nothing
+            for row in m:
+                rest = list(row)
+                for k in range(n):
+                    q, r = divmod(rest[k], h[k][k])
+                    assert r == 0
+                    rest = [x - q * y for x, y in zip(rest, h[k])]
+                assert rest == [0] * n
 
 
 class TestSimplex:
