@@ -30,25 +30,6 @@ class BoxPoint:
         return all(n == 0 for n in self.numerators)
 
 
-@dataclass(frozen=True)
-class BoxGroup:
-    """All parallelepiped points of one simplex, in canonical (lexicographic) order."""
-
-    simplex: Simplex
-    denominator: int
-    points: tuple[BoxPoint, ...]
-
-    @property
-    def identity(self) -> BoxPoint:
-        return self.points[0]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-
 def _box_coordinates(s: Simplex):
     """Group denominator and, one coordinate at a time, the numerators of every group element.
 
@@ -109,15 +90,15 @@ def _check_identity(delta0: int) -> None:
         raise AssertionError(f"{delta0} box points of degree 0; the generators are not independent")
 
 
-def enumerate_box(s: Simplex) -> BoxGroup:
-    """Enumerate the parallelepiped group of a simplex, in canonical order."""
+def enumerate_box(s: Simplex) -> tuple[BoxPoint, ...]:
+    """All parallelepiped points of a simplex, in canonical (lexicographic) order, identity first."""
     den, coordinates = _box_coordinates(s)
     points = tuple(
         BoxPoint(s, nums, den, _check_degree(sum(nums), den, s.dim))
         for nums in sorted(zip(*coordinates))
     )
     _check_identity(sum(1 for p in points if p.degree == 0))
-    return BoxGroup(s, den, points)
+    return points
 
 
 def box_add(a: BoxPoint, b: BoxPoint) -> BoxPoint:

@@ -57,7 +57,6 @@ class CaseId:
     i_1 + i_3 - 2*i_2, which selects between the two witness formulas.
     """
 
-    p: int
     label: str
     branch: int | None = None
 
@@ -78,7 +77,7 @@ def admissible(delta, p: int) -> CheckReport:
     to the full set once the pairing equalities hold. Violations merge both
     sub-checks' index pairs.
     """
-    if p not in (5, 7):
+    if p not in _PATTERN_CASES:
         raise ValueError("classification covers volumes 5 and 7 only")
     m = sum(_validated_delta(delta))  # before building the list of m - 1 exponents
     if m != p:
@@ -103,7 +102,7 @@ def classify_case(e: ExponentList) -> CaseId:
         i1, i2, i3 = e.values[0], e.values[1], e.values[2]
         diff = i1 + i3 - 2 * i2
         branch = (diff > 0) - (diff < 0)
-    return CaseId(p, label, branch)
+    return CaseId(label, branch)
 
 
 def _coefficients_vol5(label: str, vals) -> tuple[int, ...]:
@@ -195,7 +194,7 @@ def enumerate_admissible(p: int, d: int, budget: int = DEFAULT_BUDGET) -> list[W
     sum c in [2, d+1], h = (p-1)/2 sorted values from [1, c//2], then c minus them reversed.
     The budget bounds their number, C(k-1+h, h) for each of c = 2k and 2k+1, summed over k.
     """
-    if p not in (5, 7):
+    if p not in _PATTERN_CASES:
         raise ValueError("classification covers volumes 5 and 7 only")
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -283,6 +282,8 @@ def _matrix_count(d: int, vol: int) -> int:
 def _stride(d: int, vol: int, k: int, workers: int) -> set:
     """Delta-vectors of matrices k, k + workers, k + 2*workers, ... of `iter_hnf_matrices`."""
     origin = (0,) * d
+    # not islice(iter_hnf_simplices(...)): that would build the Simplex, a determinant,
+    # of every matrix another stride takes
     return {
         delta_from_box(Simplex((origin,) + rows))
         for rows in islice(iter_hnf_matrices(d, vol), k, None, workers)

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .box import delta_from_box, enumerate_box
-from .classify import _witness, admissible, enumerate_admissible, exhaustive_search
+from .classify import _PATTERN_CASES, _witness, admissible, enumerate_admissible, exhaustive_search
 from .constraints import _validated_delta, exponents, least_prime_divisor, run_all_checks
 from .ehrhart import ehrhart_delta, ehrhart_table
 from .hnf import HNFSpec, build_simplex, closed_form_delta
@@ -52,15 +52,13 @@ def _text_lines(obj, indent=0):
                 yield from _text_lines(value, indent + 1)
             else:
                 yield f"{pad}{key}: {_scalar_text(value)}"
-    elif isinstance(obj, list):
+    else:
         for item in obj:
             if isinstance(item, (dict, list)):
                 yield f"{pad}-"
                 yield from _text_lines(item, indent + 1)
             else:
                 yield f"{pad}- {_scalar_text(item)}"
-    else:
-        yield f"{pad}{_scalar_text(obj)}"
 
 
 def _is_scalar_list(value):
@@ -119,13 +117,13 @@ def _cmd_delta(args):
 
 
 def _cmd_box(args):
-    group = enumerate_box(_box_budget(_load_simplex(args.simplex), args.budget))
+    points = enumerate_box(_box_budget(_load_simplex(args.simplex), args.budget))
     payload = [
         {
-            "coeffs": [f"{n}/{group.denominator}" for n in point.numerators],
+            "coeffs": [f"{n}/{point.denominator}" for n in point.numerators],
             "degree": point.degree,
         }
-        for point in group.points
+        for point in points
     ]
     _emit(payload, args)
     return EXIT_OK
@@ -207,7 +205,7 @@ def _cmd_classify(args):
         },
         args,
     )
-    return EXIT_OK
+    return EXIT_OK if verified else EXIT_NEGATIVE
 
 
 def _cmd_enumerate(args):
@@ -330,11 +328,11 @@ def _build_parser():
 
     p = sub.add_parser("classify", parents=[common], help="admissibility and witness for volume 5 or 7")
     p.add_argument("--delta", required=True)
-    p.add_argument("--volume", type=ascii_int, choices=(5, 7), required=True)
+    p.add_argument("--volume", type=ascii_int, choices=sorted(_PATTERN_CASES), required=True)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("enumerate", parents=[common], help="all admissible delta-vectors at a dimension")
-    p.add_argument("--volume", type=ascii_int, choices=(5, 7), required=True)
+    p.add_argument("--volume", type=ascii_int, choices=sorted(_PATTERN_CASES), required=True)
     p.add_argument("--dim", type=ascii_int, required=True)
     p.add_argument("--exhaustive-crosscheck", action="store_true")
     p.set_defaults(handler=_cmd_enumerate)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from math import comb
 
 from .lattice import DEFAULT_BUDGET, Simplex, row_hermite_form, within_budget
-from .lattice import BudgetExceededError  # unused here; kept importable from this module
 
 
 def cell_estimate(s: Simplex, n: int) -> int:

@@ -30,20 +30,32 @@ class DegenerateSimplexError(ValueError):
     """The given vertices do not span a full-dimensional simplex."""
 
 
-def _check_square(matrix):
+def _as_int(x):
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"integer required, got {x!r}")
+    return x
+
+
+def _int_matrix(matrix):
+    """Mutable copy of a nonempty square matrix; ValueError on any entry `_as_int` rejects."""
     n = len(matrix)
     if n == 0:
         raise ValueError("matrix must be nonempty")
-    for row in matrix:
+    a = [list(row) for row in matrix]
+    for row in a:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    return n
+        for x in row:
+            # the type test alone passes every plain int, cheaper than a call per entry
+            if type(x) is not int:
+                _as_int(x)
+    return a
 
 
 def exact_det(matrix) -> int:
     """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
-    n = _check_square(matrix)
-    a = [[int(x) for x in row] for row in matrix]
+    a = _int_matrix(matrix)
+    n = len(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -110,8 +122,8 @@ def smith_normal_form(matrix) -> SNFResult:
     The membership and divisibility-chain properties are checked before
     returning, also under `python -O`.
     """
-    n = _check_square(matrix)
-    a = [[int(x) for x in row] for row in matrix]
+    a = _int_matrix(matrix)
+    n = len(a)
     right = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def col_sub(j, k, q):
@@ -182,8 +194,8 @@ def row_hermite_form(matrix):
     H is upper triangular with positive diagonal and entries above each pivot
     reduced into [0, pivot); W itself is not kept.
     """
-    n = _check_square(matrix)
-    a = [[int(x) for x in row] for row in matrix]
+    a = _int_matrix(matrix)
+    n = len(a)
     for col in range(n):
         while True:
             best = None
@@ -216,21 +228,17 @@ def row_hermite_form(matrix):
     return tuple(tuple(r) for r in a)
 
 
-def _as_int(x):
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"integer required, got {x!r}")
-    return x
-
-
 @dataclass(frozen=True)
 class Simplex:
     """Lattice simplex with d+1 integer vertices spanning all of d-space.
 
     Immutable; degenerate vertex sets are rejected at construction time.
+    `normalized_volume` is |det| of the edge matrix; it equals the sum of the
+    delta-vector entries.
     """
 
     vertices: tuple[tuple[int, ...], ...]
-    _edge_det: int = field(init=False, compare=False, repr=False)
+    normalized_volume: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         verts = tuple(tuple(map(_as_int, v)) for v in self.vertices)
@@ -243,16 +251,11 @@ class Simplex:
         det = exact_det(self.edge_matrix())
         if det == 0:
             raise DegenerateSimplexError("vertices do not span a full-dimensional simplex")
-        object.__setattr__(self, "_edge_det", det)
+        object.__setattr__(self, "normalized_volume", abs(det))
 
     @property
     def dim(self) -> int:
         return len(self.vertices) - 1
-
-    @property
-    def normalized_volume(self) -> int:
-        """|det| of the edge matrix; equals the sum of the delta-vector entries."""
-        return abs(self._edge_det)
 
     def edge_matrix(self):
         """Columns v_i - v_0 for i = 1..d."""

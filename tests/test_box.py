@@ -31,11 +31,11 @@ class TestEnumerate:
         s = Simplex(tuple([tuple([0] * 4)] + [tuple(1 if j == i else 0 for j in range(4)) for i in range(4)]))
         group = enumerate_box(s)
         assert len(group) == 1
-        assert group.identity.degree == 0
+        assert group[0].degree == 0
 
     def test_segment_points(self):
         group = enumerate_box(SEGMENT5)
-        assert group.denominator == 5
+        assert group[0].denominator == 5
         # the vertex-1 coefficients run over k/5, k = 0..4
         assert sorted(p.numerators[1] for p in group) == list(range(5))
         assert sorted(p.degree for p in group) == [0, 1, 1, 1, 1]
@@ -48,7 +48,7 @@ class TestEnumerate:
         group = enumerate_box(TRIANGLE235)
         nums = [p.numerators for p in group]
         assert nums == sorted(nums)
-        assert group.points[0].is_identity()
+        assert group[0].is_identity()
 
     def test_order_equals_volume_on_random_simplices(self):
         rng = random.Random(42)
@@ -61,8 +61,8 @@ class TestEnumerate:
         for _ in range(100):
             s = random_simplex(rng, max_dim=4, max_volume=60)
             group = enumerate_box(s)
-            assert s.normalized_volume % group.denominator == 0
-            assert all(p.denominator == group.denominator for p in group)
+            assert s.normalized_volume % group[0].denominator == 0
+            assert all(p.denominator == group[0].denominator for p in group)
 
     def test_coefficient_membership(self):
         # sum of r_i * (v_i, 1) must be integral for every point
@@ -80,7 +80,7 @@ class TestGroupLaw:
     def test_identity_law(self):
         group = enumerate_box(SEGMENT5)
         for p in group:
-            assert box_add(p, group.identity) == p
+            assert box_add(p, group[0]) == p
 
     def test_segment_addition(self):
         group = enumerate_box(SEGMENT5)
@@ -94,18 +94,18 @@ class TestGroupLaw:
             s = random_simplex(rng, max_dim=3, max_volume=30)
             group = enumerate_box(s)
             for p in group:
-                assert box_add(p, box_inverse(p)) == group.identity
+                assert box_add(p, box_inverse(p)) == group[0]
 
     def test_segment_inverse(self):
         group = enumerate_box(SEGMENT5)
         by_num = {p.numerators[1]: p for p in group}
         inverse = box_inverse(by_num[2])
         assert (inverse.numerators[1], inverse.denominator) == (3, 5)
-        assert box_inverse(group.identity) == group.identity
+        assert box_inverse(group[0]) == group[0]
 
     def test_mismatched_groups_rejected(self):
-        a = enumerate_box(SEGMENT5).points[1]
-        b = enumerate_box(TRIANGLE235).points[1]
+        a = enumerate_box(SEGMENT5)[1]
+        b = enumerate_box(TRIANGLE235)[1]
         with pytest.raises(ValueError):
             box_add(a, b)
 
@@ -115,8 +115,8 @@ class TestGroupLaw:
         for _ in range(25):
             s = random_simplex(rng, max_dim=3, max_volume=20)
             group = enumerate_box(s)
-            members = set(group.points)
-            for a, b in combinations_with_replacement(group.points, 2):
+            members = set(group)
+            for a, b in combinations_with_replacement(group, 2):
                 c = box_add(a, b)
                 assert c in members
                 assert c.degree <= a.degree + b.degree
@@ -141,9 +141,9 @@ class TestGroupLaw:
             for g in group:
                 if g.is_identity():
                     continue
-                visited = {group.identity}
+                visited = {group[0]}
                 walk = g
-                while walk != group.identity:
+                while walk != group[0]:
                     visited.add(walk)
                     walk = box_add(walk, g)
                 assert len(visited) == p

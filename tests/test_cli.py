@@ -451,6 +451,24 @@ class TestVerify:
         assert code == 2
 
 
+class TestBoxRouteDisagreement:
+    """A box delta-vector that differs from the witness or the other methods is a negative verdict."""
+
+    CASES = {
+        "hnf": (["hnf", "--m", "5", "--coeffs", "0,1,1,0", "--dim", "3"], "agree"),
+        "verify": (["verify", "--m", "5", "--coeffs", "0,1,1,0", "--dim", "3"], "agree"),
+        "classify": (["classify", "--delta", "1,0,4,0", "--volume", "5"], "verified"),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_exits_1(self, capsys, monkeypatch, name):
+        argv, verdict = self.CASES[name]
+        monkeypatch.setattr(deltasimplex.cli, "delta_from_box", lambda s: (1, 1, 3, 0))
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (1, "")
+        assert json.loads(out)[verdict] is False
+
+
 class TestMalformedInput:
     """Each malformed input exits 2 with empty stdout and exactly one error object."""
 
@@ -461,6 +479,7 @@ class TestMalformedInput:
         ),
         "enumerate-dim-0": (["enumerate", "--volume", "5", "--dim", "0"], None, "dimension must be >= 1"),
         "search-dim-0": (["search", "--dim", "0", "--volume", "5"], None, "need d >= 1 and vol >= 1"),
+        "check-delta-length-1": (["check", "--delta", "1"], None, "delta-vector needs length >= 2"),
         "no-vertices": (
             ["delta", "--simplex", "{file}"], {"vertices": []},
             '"vertices" must be a nonempty list of integer rows',
@@ -497,6 +516,13 @@ class TestOutputModes:
         )
         assert code == 0
         assert "all_pass: True" in out
+
+    def test_box_text_mode(self, capsys, segment_file):
+        code, out, _ = run(capsys, ["--output", "text", "box", "--simplex", segment_file])
+        assert code == 0
+        assert out == "".join(
+            f"-\n  coeffs: {k}/5,{(5 - k) % 5}/5\n  degree: {int(k > 0)}\n" for k in range(5)
+        )
 
     def test_text_mode_after_subcommand(self, capsys, segment_file):
         code, out, _ = run(capsys, ["delta", "--simplex", segment_file, "--output", "text"])

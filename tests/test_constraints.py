@@ -14,7 +14,10 @@ from deltasimplex import (
     check_stanley,
     check_stanley_exponents,
     check_superadditive,
+    classify_case,
     delta_from_exponents,
+    enumerate_admissible,
+    exact_det,
     exponents,
     is_prime,
     least_prime_divisor,
@@ -22,6 +25,7 @@ from deltasimplex import (
     run_all_checks,
     witness,
 )
+from deltasimplex.lattice import row_hermite_form
 
 
 @st.composite
@@ -98,6 +102,25 @@ class TestExponents:
 def test_library_inputs_are_integers_only(call):
     """Bools, floats and strings are refused, not truncated or parsed."""
     with pytest.raises(ValueError, match="integer required"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: classify_case(ExponentList(tuple(range(1, 11)), 10)), "covers volumes 5 and 7 only"),
+        (lambda: classify_case(ExponentList((1, 2, 3, 3), 3)), r"no case matches multiplicity pattern \(1, 1, 2\)"),
+        (lambda: enumerate_admissible(11, 3), "covers volumes 5 and 7 only"),
+        (lambda: exact_det([]), "matrix must be nonempty"),
+        (lambda: row_hermite_form([[0, 0], [0, 0]]), "matrix is singular"),
+        (lambda: HNFSpec(5, (0, 0, 0, 0), 0), "dimension must be >= 1"),
+        (lambda: ExponentList((0,), 1), r"exponents must lie in \[1, dim\]"),
+    ],
+    ids=["case-volume-11", "case-pattern-112", "enumerate-volume-11", "det-empty", "hermite-singular",
+         "spec-dim-0", "exponent-0"],
+)
+def test_library_refuses_values_outside_its_contract(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
 
 

@@ -42,6 +42,14 @@ class TestExactDet:
             exact_det([[1, 2]])
 
 
+@pytest.mark.parametrize("entry", [2.7, "3", True], ids=["float", "str", "bool"])
+@pytest.mark.parametrize("elimination", [exact_det, smith_normal_form, row_hermite_form])
+def test_eliminations_take_integer_entries_only(elimination, entry):
+    """A bool, float or string entry is refused, not truncated or parsed by int()."""
+    with pytest.raises(ValueError, match="integer required"):
+        elimination([[entry]])
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         assert smith_normal_form(identity(3)).diagonal == (1, 1, 1)

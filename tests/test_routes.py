@@ -33,6 +33,20 @@ def imported_names(module):
     return {name for _, name in imports(module)}
 
 
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"))
+def test_every_imported_name_is_used(module):
+    """No module imports a name it never references; `__init__` imports only to re-export."""
+    tree = parse(module)
+    bound = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(bound - used) == []
+
+
 def test_no_route_imports_another():
     for module in ROUTES:
         for source, name in imports(module):
