@@ -3,18 +3,15 @@
 Admissibility is the pairing constraint plus superadditivity of the
 exponents; for these two volumes every admissible vector is realized by an
 explicit member of the one-row Hermite family, constructed case by case from
-the multiplicity pattern of the exponents. An exhaustive search over
-triangular vertex matrices provides the ground truth at small dimension.
+the multiplicity pattern of the exponents. The ground truth is an exhaustive
+search over the characters of finite abelian groups (`groups`); the
+triangular vertex matrices kept here are its geometric reference.
 """
 
-import marshal
-import os
-import signal
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, groupby, islice, product
-from math import comb, isqrt
+from itertools import combinations_with_replacement, groupby, product
+from math import comb
 
-from .box import delta_from_box
 from .constraints import (
     CheckReport,
     ExponentList,
@@ -77,6 +74,11 @@ def admissible(delta, p: int) -> CheckReport:
     to the full set once the pairing equalities hold. Violations merge both
     sub-checks' index pairs.
     """
+    return _exponents_and_verdict(delta, p)[1]
+
+
+def _exponents_and_verdict(delta, p: int) -> tuple[ExponentList, CheckReport]:
+    """The exponent list of `delta`, built once, and its `admissible` verdict."""
     if p not in _PATTERN_CASES:
         raise ValueError("classification covers volumes 5 and 7 only")
     m = sum(_validated_delta(delta))  # before building the list of m - 1 exponents
@@ -85,7 +87,7 @@ def admissible(delta, p: int) -> CheckReport:
     e = exponents(delta)
     violations = check_pairing(e).violations
     violations += check_superadditive(e, pairs=reduced_pairs(p)).violations
-    return CheckReport("admissible", violations)
+    return e, CheckReport("admissible", violations)
 
 
 def classify_case(e: ExponentList) -> CaseId:
@@ -165,10 +167,10 @@ def witness(delta, p: int) -> Witness:
     The construction self-verifies: its coefficients must be nonnegative and fit
     the carried dimension, and the closed form must reproduce the requested vector.
     """
-    verdict = admissible(delta, p)
+    e, verdict = _exponents_and_verdict(delta, p)
     if not verdict.ok:
         raise ValueError(f"delta-vector is not admissible: violations {verdict.violations}")
-    return _witness(exponents(delta))
+    return _witness(e)
 
 
 def _witness(e: ExponentList) -> Witness:
@@ -260,96 +262,3 @@ def iter_hnf_simplices(d: int, vol: int):
     for rows in iter_hnf_matrices(d, vol):
         yield Simplex((origin,) + rows)
 
-
-def _matrix_count(d: int, vol: int) -> int:
-    """How many matrices `iter_hnf_matrices(d, vol)` yields, without building them.
-
-    Diagonal position i contributes diag[i]**i choices for the entries left of
-    it, so the count is the sum of prod(diag[i]**i) over the ordered
-    factorizations of vol. It is summed one position at a time over the
-    divisors of vol, because the factorizations themselves can be too many to
-    list before a budget refusal.
-    """
-    small = [k for k in range(1, isqrt(vol) + 1) if vol % k == 0]
-    divisors = sorted(set(small + [vol // k for k in small]))
-    # tail[n]: the sum over factorizations of n into the positions from i on
-    tail = {n: n ** (d - 1) for n in divisors}
-    for i in range(d - 2, -1, -1):
-        tail = {n: sum(k**i * tail[n // k] for k in divisors if n % k == 0) for n in divisors}
-    return tail[vol]
-
-
-def _stride(d: int, vol: int, k: int, workers: int) -> set:
-    """Delta-vectors of matrices k, k + workers, k + 2*workers, ... of `iter_hnf_matrices`."""
-    origin = (0,) * d
-    # not islice(iter_hnf_simplices(...)): that would build the Simplex, a determinant,
-    # of every matrix another stride takes
-    return {
-        delta_from_box(Simplex((origin,) + rows))
-        for rows in islice(iter_hnf_matrices(d, vol), k, None, workers)
-    }
-
-
-def _worker(d: int, vol: int, k: int, workers: int, write_fd: int):
-    """Forked child: send stride k's sorted delta-vectors, or the message of its failed check.
-
-    Never returns, so the child cannot run on in its parent's frames or flush its parent's
-    stdio. It exits 0 only once the whole reply is written.
-    """
-    status = 1
-    try:
-        try:
-            reply = sorted(_stride(d, vol, k, workers))
-        except AssertionError as exc:
-            reply = str(exc)
-        with os.fdopen(write_fd, "wb") as pipe:
-            marshal.dump(reply, pipe)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def exhaustive_search(d: int, vol: int, budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...], ...]:
-    """Ground truth: the set of delta-vectors over all matrices from `iter_hnf_matrices`.
-
-    Returned sorted. The budget bounds the exact number of matrices, then the
-    vol points of each one's box group (more than the matrices only at d = 1).
-    The matrices are split into one stride per CPU this process may run on,
-    at most one per matrix: this process takes stride 0 and a forked child
-    each other one. A check failing in a child raises here with its message.
-    """
-    if d < 1 or vol < 1:
-        raise ValueError("need d >= 1 and vol >= 1")
-    count = _matrix_count(d, vol)
-    within_budget(count, budget, "matrices")
-    within_budget(vol, budget, "box points")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, count)
-    children = []  # (stride, pid, read end of its pipe) of every child not yet reaped
-    try:
-        for k in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _worker(d, vol, k, workers, write_fd)
-            os.close(write_fd)
-            children.append((k, pid, os.fdopen(read_fd, "rb")))
-        found = _stride(d, vol, 0, workers)
-        while children:
-            k, pid, pipe = children[0]
-            data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            pipe.close()
-            if code:
-                raise AssertionError(f"search worker {k} exited with code {code} before sending its deltas")
-            reply = marshal.loads(data)
-            if isinstance(reply, str):
-                raise AssertionError(reply)
-            found.update(reply)
-    finally:
-        for _, pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return tuple(sorted(found))

@@ -14,9 +14,10 @@ import sys
 from pathlib import Path
 
 from .box import delta_from_box, enumerate_box
-from .classify import _PATTERN_CASES, _witness, admissible, enumerate_admissible, exhaustive_search
-from .constraints import _validated_delta, exponents, least_prime_divisor, run_all_checks
+from .classify import _PATTERN_CASES, _exponents_and_verdict, _witness, enumerate_admissible
+from .constraints import _validated_delta, least_prime_divisor, run_all_checks
 from .ehrhart import ehrhart_delta, ehrhart_table
+from .groups import exhaustive_search
 from .hnf import HNFSpec, build_simplex, closed_form_delta
 from .lattice import DEFAULT_BUDGET, BudgetExceededError, Simplex, ascii_int, within_budget
 
@@ -176,8 +177,7 @@ def _cmd_check(args):
 
 
 def _cmd_classify(args):
-    delta = _parse_int_list(args.delta, "--delta")
-    verdict = admissible(delta, args.volume)
+    e, verdict = _exponents_and_verdict(_parse_int_list(args.delta, "--delta"), args.volume)
     if not verdict.ok:
         _emit(
             {
@@ -190,7 +190,7 @@ def _cmd_classify(args):
             args,
         )
         return EXIT_NEGATIVE
-    found = _witness(exponents(delta))
+    found = _witness(e)
     verified = delta_from_box(_box_budget(build_simplex(found.spec), args.budget)) == found.delta
     _emit(
         {
@@ -287,7 +287,7 @@ def _cmd_verify(args):
 
 
 def _build_parser():
-    budget_help = "work budget in cells / box points / matrices / candidates / exponents and pairs"
+    budget_help = "work budget in cells / box points / character values / candidates / exponents and pairs"
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=ascii_int, default=argparse.SUPPRESS, help=budget_help)
     common.add_argument("--output", choices=("json", "text"), default=argparse.SUPPRESS)
@@ -337,7 +337,7 @@ def _build_parser():
     p.add_argument("--exhaustive-crosscheck", action="store_true")
     p.set_defaults(handler=_cmd_enumerate)
 
-    p = sub.add_parser("search", parents=[common], help="exhaustive delta-vector search over vertex matrices")
+    p = sub.add_parser("search", parents=[common], help="exhaustive delta-vector search over group characters")
     p.add_argument("--dim", type=ascii_int, required=True)
     p.add_argument("--volume", type=ascii_int, required=True)
     p.set_defaults(handler=_cmd_search)

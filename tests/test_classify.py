@@ -1,5 +1,5 @@
 from itertools import combinations_with_replacement
-from math import prod
+from math import comb
 
 import pytest
 
@@ -183,28 +183,23 @@ class TestExhaustiveSearch:
         with pytest.raises(BudgetExceededError):
             exhaustive_search(5, 11, budget=100)
 
-    def test_budget_is_the_exact_matrix_count(self):
-        # 546 matrices, more than the old estimate d * vol**(d-1) = 360
-        assert len(list(iter_hnf_matrices(2, 180))) == 546
+    def test_budget_counts_character_values(self):
+        # (2, 180): four types with at most two invariant factors, 180 characters each
+        per_type = comb(181, 2) * 3 * 180 + 2 * 180**2
         with pytest.raises(BudgetExceededError) as info:
-            exhaustive_search(2, 180, budget=400)
-        assert info.value.estimate == 546
-        for d, vol in ((1, 7), (2, 12), (3, 8), (4, 6), (3, 30)):
-            count = len(list(iter_hnf_matrices(d, vol)))
-            with pytest.raises(BudgetExceededError) as info:
-                exhaustive_search(d, vol, budget=count - 1)
-            assert info.value.estimate == count
+            exhaustive_search(2, 180, budget=per_type)
+        assert info.value.estimate == 4 * per_type
+        assert str(info.value) == f"estimated {4 * per_type} character values exceeds budget {per_type}"
 
     def test_budget_estimate_at_sizes_too_large_to_list(self):
-        # Z^d has Gaussian-binomial [a+d-1, a]_p sublattices of index p**a;
-        # 2**6 has 1,623,160 ordered factorizations into 30 parts, too many
-        # to list before refusing
-        def gaussian_binomial(n, k, q):
-            return prod(q ** (n - i) - 1 for i in range(k)) // prod(q ** (i + 1) - 1 for i in range(k))
-
+        # the cyclic type alone is counted before the volume is factored, so a volume of
+        # 10**30 is refused at once, and (30, 2**6) before its 11 types are listed
         with pytest.raises(BudgetExceededError) as info:
             exhaustive_search(30, 2**6)
-        assert info.value.estimate == gaussian_binomial(35, 6, 2)
+        assert info.value.estimate == comb(93, 30) * 31 * 64 + 2 * 64**2
+        with pytest.raises(BudgetExceededError) as info:
+            exhaustive_search(2, 10**30)
+        assert info.value.estimate == comb(10**30 + 1, 2) * 3 * 10**30 + 2 * 10**60
 
     def test_matches_admissible_enumeration(self):
         for d in (1, 2, 3):

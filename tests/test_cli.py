@@ -8,7 +8,9 @@ from math import comb
 
 import pytest
 
+import deltasimplex.classify
 import deltasimplex.cli
+import deltasimplex.constraints
 import deltasimplex.ehrhart
 from conftest import random_simplex
 from deltasimplex import delta_from_box
@@ -291,8 +293,9 @@ class TestEnumerateAndSearch:
         code, _, err = run(capsys, ["search", "--dim", "6", "--volume", "13", "--budget", "10"])
         assert code == 3
         error = json.loads(err)["error"]
-        assert error["message"] == "estimated 402234 matrices exceeds budget 10"
-        assert (error["estimate"], error["budget"]) == (402234, 10)
+        estimate = comb(18, 6) * 7 * 13 + 2 * 13**2
+        assert error["message"] == f"estimated {estimate} character values exceeds budget 10"
+        assert (error["estimate"], error["budget"]) == (estimate, 10)
 
     def test_enumerate_budget_refuses_before_the_loop(self, capsys):
         start = time.perf_counter()
@@ -362,7 +365,7 @@ class TestEveryCommandBudget:
         "check": (["check", "--delta", "1,6006"], 10, "exponents and pairs"),
         "classify": (["classify", "--delta", "1,0,4,0", "--volume", "5"], 3, "box points"),
         "enumerate": (["enumerate", "--volume", "7", "--dim", "1000"], 10, "candidates"),
-        "search": (["search", "--dim", "1", "--volume", "3000000"], 10, "box points"),
+        "search": (["search", "--dim", "1", "--volume", "3000000"], 10, "character values"),
         "verify": (["verify", "--simplex", "{triangle}"], 4, "box points"),
     }
 
@@ -395,6 +398,15 @@ class TestEveryCommandBudget:
         code, out, err = run(capsys, ["classify", "--delta", "1,100000000000000", "--volume", "5"])
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["message"] == "delta-vector sums to 100000000000001, expected 5"
+
+    def test_classify_builds_the_exponent_list_once(self, capsys, monkeypatch):
+        calls = []
+        real = deltasimplex.constraints.exponents
+        for module in (deltasimplex.classify, deltasimplex.cli):
+            if hasattr(module, "exponents"):
+                monkeypatch.setattr(module, "exponents", lambda delta: calls.append(delta) or real(delta))
+        code, _, _ = run(capsys, ["classify", "--delta", "1,0,4,0", "--volume", "5"])
+        assert (code, len(calls)) == (0, 1)
 
     def test_inadmissible_vector_builds_no_group(self, capsys):
         code, out, _ = run(capsys, ["--budget", "3", "classify", "--delta", "1,0,2,0,1,1,0,2,0", "--volume", "7"])

@@ -93,9 +93,8 @@ def test_classification_does_not_use_the_counting_route():
     assert not any("ehrhart" in source for source, _ in imports("classify"))
 
 
-def test_one_fork_and_no_process_pool_in_the_package():
-    """The search forks its workers at one call site; no pool module is imported, since
-    importing one costs more resident memory than a small search uses."""
+def test_no_fork_and_no_process_pool_in_the_package():
+    """The package runs in one process: no `os.fork` call and no pool module import."""
     forks, pools = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(parse(path.stem)):
@@ -105,5 +104,12 @@ def test_one_fork_and_no_process_pool_in_the_package():
         for source, name in imports(path.stem):
             if {source.split(".")[0], (name or "").split(".")[0]} & {"multiprocessing", "concurrent"}:
                 pools.append((path.stem, source, name))
-    assert [module for module, _ in forks] == ["classify"], forks
+    assert forks == []
     assert pools == []
+
+
+def test_group_sweep_uses_no_route_and_no_classification():
+    """The character sweep is the ground truth the classification is checked against."""
+    for source, name in imports("groups"):
+        parts = {source.lstrip(".").rsplit(".", 1)[-1], name}
+        assert not parts & {"box", "ehrhart", "hnf", "classify"}, (source, name)
