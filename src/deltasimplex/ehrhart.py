@@ -2,8 +2,9 @@
 
 This is the independent ground truth for delta-vectors: count points of the
 dilates, extract the delta-vector by the alternating binomial transform, and
-check the interior/closed count reciprocity. Nothing here shares code with
-the parallelepiped-group path.
+check the interior/closed count reciprocity. One walk of the largest dilate
+asked for gives the closed and interior counts of every smaller one. Nothing
+here shares code with the parallelepiped-group path.
 """
 
 from dataclasses import dataclass
@@ -21,70 +22,64 @@ def cell_estimate(s: Simplex, n: int) -> int:
     return cells
 
 
-class _CountingFrame:
-    """Per-simplex data for membership counting.
-
-    Lattice-point counts do not change under the integer translation by n*v_0,
-    so the n-th dilate is counted with v_0 at the origin. A unimodular change
-    of coordinates z = W @ x makes the edge matrix its row Hermite form H, upper
-    triangular, so the scaled barycentric coordinates y = det * H^-1 @ z resolve
-    one coordinate at a time; membership needs y >= 0 with sum(y) <= n*det.
-    Only H is kept: W permutes the lattice, so the count over z needs no W.
-    """
-
-    def __init__(self, s: Simplex):
-        self.h = row_hermite_form(s.edge_matrix())
-        self.dim = s.dim
-        self.det = s.normalized_volume  # the product of H's positive diagonal
-        self.pivots = [self.det // self.h[k][k] for k in range(s.dim)]
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def _count_level(frame, level, partial, used, total_budget, q):
-    """Count integer points below `level` given fixed outer coordinates.
-
-    `partial[k]` holds -sum(h[k][j] * y_j) over the levels j > k fixed so far,
-    and `used` is the sum of those y_j. Levels run from dim-1 down to 0, back-
-    substituting in H @ y = det * z: y_k = (det * z_k + partial[k]) / h[k][k].
-    """
-    h = frame.h
-    pivot = frame.pivots[level]
-    # exact: y = adj(H) @ z is integral and h[k][k] divides det, so it divides partial[k]
-    affine = partial[level] // h[level][level]
-    low = _ceil_div(q - affine, pivot)
-    high = (total_budget - used - level * q - affine) // pivot
-    if level == 0:
-        return high - low + 1 if high >= low else 0
-    count = 0
-    for z in range(low, high + 1):
-        y = affine + pivot * z
-        inner = [partial[i] - h[i][level] * y for i in range(level)]
-        count += _count_level(frame, level - 1, inner, used + y, total_budget, q)
-    return count
-
-
-def _budgeted_frame(s: Simplex, n: int, budget: int) -> _CountingFrame:
-    """Counting frame of s, refused when the n-th dilate's cell estimate exceeds the budget."""
-    within_budget(cell_estimate(s, n), budget, "bounding-box cells")
-    return _CountingFrame(s)
-
-
 def count_lattice_points(
     s: Simplex, n: int, interior: bool = False, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Exact number of lattice points in the n-th dilate (interior points if asked)."""
     if n < 1:
         raise ValueError("dilation factor must be >= 1")
-    return _count_dilate(_budgeted_frame(s, n, budget), n, interior)
+    return _count_dilates(s, (n,), budget)[interior][0]
 
 
-def _count_dilate(frame, n, interior):
-    d = frame.dim
-    q = 1 if interior else 0
-    return _count_level(frame, d - 1, [0] * d, 0, n * frame.det - q, q)
+def _count_dilates(s, dilates, budget):
+    """Closed and interior counts of each dilate in `dilates`, from one walk of the largest.
+
+    Counts do not change under the integer translation by m*v_0, so the m-th
+    dilate is counted with v_0 at the origin. A unimodular change of coordinates
+    z = W @ x makes the edge matrix its row Hermite form H, upper triangular, so
+    the scaled barycentric coordinates y = det * H^-1 @ z resolve one at a time,
+    from level dim-1 down to 0: y_k = (det * z_k + partial[k]) / h[k][k], where
+    `partial[k]` is -sum(h[k][j] * y_j) over the levels j > k fixed so far and
+    `used` is their sum. Membership needs y >= 0 with sum(y) <= m*det. Only H is
+    kept: W permutes the lattice. At level 0 the pivot det / h[0][0] divides m*det,
+    so the fibre of y_0 holds max(0, m*h[0][0] + r) points with r free of m, and
+    each leaf adds one to a histogram of r. The interior (every y >= 1, sum(y) <=
+    m*det - 1) fills a second histogram at the leaves whose outer y are all >= 1.
+    The outer levels and the budget's cell estimate cover the largest dilate; a
+    leaf that a smaller one cannot reach adds 0 to its count.
+    """
+    within_budget(cell_estimate(s, max(dilates)), budget, "bounding-box cells")
+    h = row_hermite_form(s.edge_matrix())
+    det = s.normalized_volume  # the product of H's positive diagonal
+    pivots = [det // h[k][k] for k in range(s.dim)]
+    h00, pivot0, total = h[0][0], pivots[0], max(dilates) * det
+    closed, interior = {}, {}
+
+    def leaf(partial0, used, inside):
+        affine = partial0 // h00
+        r = (-used - affine) // pivot0 + affine // pivot0 + 1
+        closed[r] = closed.get(r, 0) + 1
+        if inside:
+            r = (-1 - used - affine) // pivot0 + (affine - 1) // pivot0 + 1
+            interior[r] = interior.get(r, 0) + 1
+
+    def walk(k, partial, used, inside):
+        # exact: y = adj(H) @ z is integral and h[k][k] divides det, so it divides partial[k]
+        affine, pivot = partial[k] // h[k][k], pivots[k]
+        for y in range(affine % pivot, total - used + 1, pivot):
+            if k > 1:
+                walk(k - 1, [partial[i] - h[i][k] * y for i in range(k)], used + y, inside and y > 0)
+            else:
+                leaf(partial[0] - h[0][1] * y, used + y, inside and y > 0)
+
+    if s.dim == 1:
+        leaf(0, 0, True)
+    else:
+        walk(s.dim - 1, [0] * s.dim, 0, True)
+    return tuple(
+        tuple(sum(c * max(0, m * h00 + r) for r, c in hist.items()) for m in dilates)
+        for hist in (closed, interior)
+    )
 
 
 def _delta_from_counts(counts, volume: int) -> tuple[int, ...]:
@@ -129,19 +124,14 @@ class EhrhartTable:
 
 def ehrhart_table(s: Simplex, budget: int = DEFAULT_BUDGET) -> EhrhartTable:
     """Count closed and interior lattice points of the dilates n = 0..d+1."""
-    d = s.dim
-    frame = _budgeted_frame(s, d + 1, budget)
-    counts = (1,) + tuple(_count_dilate(frame, n, False) for n in range(1, d + 2))
-    interior = tuple(_count_dilate(frame, n, True) for n in range(1, d + 2))
-    return EhrhartTable(s, counts, interior)
+    closed, interior = _count_dilates(s, range(1, s.dim + 2), budget)
+    return EhrhartTable(s, (1,) + closed, interior)
 
 
 def ehrhart_delta(s: Simplex, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
     """Delta-vector from dilate counts via the alternating binomial transform."""
-    d = s.dim
-    frame = _budgeted_frame(s, d, budget)
-    counts = [1] + [_count_dilate(frame, n, False) for n in range(1, d + 1)]
-    return _delta_from_counts(counts, s.normalized_volume)
+    closed, _ = _count_dilates(s, range(1, s.dim + 1), budget)
+    return _delta_from_counts((1,) + closed, s.normalized_volume)
 
 
 @dataclass(frozen=True)

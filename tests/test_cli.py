@@ -147,19 +147,20 @@ class TestOracle:
         assert code == 3
 
     def test_counts_each_dilate_once(self, capsys, triangle_file, monkeypatch):
-        calls = []
-        count_dilate = deltasimplex.ehrhart._count_dilate
+        walked = []
+        count_dilates = deltasimplex.ehrhart._count_dilates
 
-        def counted(*args):
-            calls.append(args)
-            return count_dilate(*args)
+        def counted(s, dilates, budget):
+            walked.append(max(dilates))
+            return count_dilates(s, dilates, budget)
 
-        monkeypatch.setattr(deltasimplex.ehrhart, "_count_dilate", counted)
+        monkeypatch.setattr(deltasimplex.ehrhart, "_count_dilates", counted)
         code, out, _ = run(capsys, ["oracle", "--simplex", triangle_file])
         assert code == 0
-        d = json.loads(out)["dim"]
-        # closed and interior counts of dilates 1..d+1, and nothing more
-        assert len(calls) == 2 * (d + 1)
+        payload = json.loads(out)
+        # one walk, of dilate d+1, gives the closed and interior counts of dilates 1..d+1
+        assert walked == [payload["dim"] + 1]
+        assert len(payload["interior_counts"]) == payload["dim"] + 1
 
     def test_delta_matches_box_on_random_simplices(self, capsys, tmp_path):
         rng = random.Random(20260809)

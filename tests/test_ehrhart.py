@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -14,6 +16,7 @@ from deltasimplex import (
     ehrhart_table,
     reciprocity_check,
 )
+from deltasimplex.lattice import row_hermite_form
 from conftest import random_simplex
 
 SEGMENT5 = Simplex(((0,), (5,)))
@@ -54,6 +57,100 @@ class TestCounting:
             moved = Simplex(tuple(tuple(x + t for x, t in zip(v, shift)) for v in s.vertices))
             for n in (1, 2):
                 assert count_lattice_points(s, n) == count_lattice_points(moved, n)
+
+
+def naive_counts(s, n):
+    """Closed and interior lattice points of the n-th dilate, by scanning its bounding box.
+
+    Shares nothing with the Hermite frame: a point x lies in n*S iff its scaled
+    barycentric coordinates b = adj(E) @ (x - n*v_0), by Cramer's rule on the
+    edge matrix E, satisfy b >= 0 and sum(b) <= n*|det E| (strictly for the interior).
+    """
+    d, v0 = s.dim, s.vertices[0]
+    edges = [[v[k] - v0[k] for v in s.vertices[1:]] for k in range(d)]
+
+    def det(m):
+        total = 0
+        for perm in permutations(range(d)):
+            sign = (-1) ** sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+            term = sign
+            for row, col in zip(range(d), perm):
+                term *= m[row][col]
+            total += term
+        return total
+
+    volume = det(edges)
+    sign, volume = (1, volume) if volume > 0 else (-1, -volume)
+    # adj[i][j] = det(E with column i replaced by the unit vector e_j)
+    adj = [
+        [det([[int(k == j) if c == i else edges[k][c] for c in range(d)] for k in range(d)])
+         for j in range(d)]
+        for i in range(d)
+    ]
+    ranges = [
+        range(n * min(v[k] for v in s.vertices), n * max(v[k] for v in s.vertices) + 1)
+        for k in range(d)
+    ]
+    closed = interior = 0
+    for x in product(*ranges):
+        w = [x[k] - n * v0[k] for k in range(d)]
+        b = [sign * sum(a * t for a, t in zip(row, w)) for row in adj]
+        rest = n * volume - sum(b)
+        if min(b) >= 0 and rest >= 0:
+            closed += 1
+            interior += min(b) > 0 and rest > 0
+    return closed, interior
+
+
+def reference_cases():
+    rng = random.Random(20261018)
+    cases = [random_simplex(rng, max_dim=3, entry=2) for _ in range(40)]
+    return cases + [
+        SEGMENT5,
+        unit_simplex(3),
+        Simplex(((0, 0, 0), (2, 2, 0), (0, 1, 0), (1, 0, 3))),  # h[0][0] = 2
+    ]
+
+
+class TestNaiveReference:
+    CASES = reference_cases()
+
+    def test_fixed_cases(self):
+        segment, unimodular, pivot_two = self.CASES[-3:]
+        assert segment.dim == 1 and unimodular.normalized_volume == 1
+        assert row_hermite_form(pivot_two.edge_matrix())[0][0] == 2
+
+    @pytest.mark.parametrize("index", range(len(CASES)))
+    def test_every_route_matches_the_box_scan(self, index):
+        s = self.CASES[index]
+        d = s.dim
+        naive = [naive_counts(s, n) for n in range(1, d + 2)]
+        closed = tuple(c for c, _ in naive)
+        interior = tuple(i for _, i in naive)
+        table = ehrhart_table(s, budget=10**12)
+        assert table.counts == (1,) + closed
+        assert table.interior_counts == interior
+        assert ehrhart_delta(s, budget=10**12) == table.delta
+        for n, (c, i) in enumerate(naive, start=1):
+            assert count_lattice_points(s, n, budget=10**12) == c
+            assert count_lattice_points(s, n, interior=True, budget=10**12) == i
+
+
+class TestLargeDilate:
+    """One walk of the n-th dilate, evaluated at n alone: a large n costs no loop over 1..n."""
+
+    def test_segment(self):
+        start = time.perf_counter()
+        assert count_lattice_points(SEGMENT5, 10**5, budget=10**7) == 500001
+        assert time.perf_counter() - start < 0.5
+
+    def test_triangle_matches_the_closed_polynomial(self):
+        triangle = Simplex(((0, 0), (2, 0), (1, 3)))
+        delta, n, d = delta_from_box(triangle), 200, 2
+        start = time.perf_counter()
+        counted = count_lattice_points(triangle, n, budget=10**7)
+        assert time.perf_counter() - start < 0.5
+        assert counted == sum(x * comb(n - i + d, d) for i, x in enumerate(delta))
 
 
 class TestBudget:
@@ -126,11 +223,13 @@ class TestReciprocity:
 
     def test_miscounted_interior_is_a_mismatch(self, monkeypatch):
         predicted = ehrhart_table(TRIANGLE235).interior_counts[0]
-        real = deltasimplex.ehrhart._count_dilate
-        monkeypatch.setattr(
-            deltasimplex.ehrhart, "_count_dilate",
-            lambda frame, n, interior: real(frame, n, interior) + interior,
-        )
+        real = deltasimplex.ehrhart._count_dilates
+
+        def one_more_interior_point(*args):
+            closed, interior = real(*args)
+            return closed, tuple(x + 1 for x in interior)
+
+        monkeypatch.setattr(deltasimplex.ehrhart, "_count_dilates", one_more_interior_point)
         report = reciprocity_check(TRIANGLE235)
         assert report.ok is False
         assert report.first_mismatch == (1, predicted + 1, predicted)

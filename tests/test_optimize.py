@@ -45,14 +45,18 @@ FAULTS = {
         "of matrix @ right is not a multiple of",
     ),
     "dilate-count-off-by-one": (
-        "real = ehrhart._count_dilate\n"
-        "ehrhart._count_dilate = lambda frame, n, interior: real(frame, n, interior) + 1",
+        "real = ehrhart._count_dilates\n"
+        "ehrhart._count_dilates = lambda *args: (\n"
+        "    lambda closed, interior: (tuple(x + 1 for x in closed), interior)\n"
+        ")(*real(*args))",
         "lambda: ehrhart.ehrhart_delta(triangle), lambda: ehrhart.ehrhart_table(triangle).delta",
         "dilate counts give delta-vector",
     ),
     "table-interior-above-closed": (
-        "real = ehrhart._count_dilate\n"
-        "ehrhart._count_dilate = lambda frame, n, interior: real(frame, n, interior) + 100 * interior",
+        "real = ehrhart._count_dilates\n"
+        "ehrhart._count_dilates = lambda *args: (\n"
+        "    lambda closed, interior: (closed, tuple(x + 100 for x in interior))\n"
+        ")(*real(*args))",
         "lambda: ehrhart.ehrhart_table(triangle), lambda: ehrhart.reciprocity_check(triangle)",
         "exceed closed counts",
     ),
