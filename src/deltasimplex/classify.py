@@ -3,9 +3,11 @@
 Admissibility is the pairing constraint plus superadditivity of the
 exponents; for these two volumes every admissible vector is realized by an
 explicit member of the one-row Hermite family, constructed case by case from
-the multiplicity pattern of the exponents. The ground truth is an exhaustive
-search over the characters of finite abelian groups (`groups`); the
-triangular vertex matrices kept here are its geometric reference.
+the multiplicity pattern of the exponents. One table, `_PATTERN_CASES`, maps
+each volume and pattern to its case label and its witness formula. The
+ground truth is an exhaustive search over the characters of finite abelian
+groups (`groups`); the triangular vertex matrices kept here are its
+geometric reference.
 """
 
 from dataclasses import dataclass
@@ -24,26 +26,55 @@ from .constraints import (
     reduced_pairs,
 )
 from .hnf import HNFSpec, closed_form_delta
-from .lattice import DEFAULT_BUDGET, Simplex, within_budget
+from .lattice import DEFAULT_BUDGET, Simplex, _as_int, within_budget
 
+
+def _viii_sign(i1, i2, i3, *_):
+    """Branch of the all-distinct volume-7 case: the sign of i1 + i3 - 2*i2."""
+    diff = i1 + i3 - 2 * i2
+    return (diff > 0) - (diff < 0)
+
+
+def _viii(i1, i2, i3, i4, *_):
+    """Witness coefficients of case viii, one formula per sign of i1 + i3 - 2*i2; they agree where it is 0."""
+    tail = i3 + 2 * i4 - 2 * i1 - i2 - 2
+    if _viii_sign(i1, i2, i3) >= 0:
+        return (0, i1 + i2 - i3, i1 + i3 - 2 * i2, 0, 2 * i2 - i4, tail)
+    return (0, 2 * i1 - i2, 0, 2 * i2 - i1 - i3, i1 + i3 - i4, tail)
+
+
+# volume -> multiplicity pattern of the sorted exponents i1 <= i2 <= ... -> (case label, the witness
+# coefficients d_1..d_{p-1} as a function of the exponents)
 _PATTERN_CASES = {
     5: {
-        (4,): "i",
-        (2, 2): "ii",
-        (1, 2, 1): "iii",
-        (1, 1, 1, 1): "iv",
+        (4,): ("i", lambda i1, *_: (0, i1 - 1, i1 - 1, 0)),
+        (2, 2): ("ii", lambda i1, i2, i3, i4: (0, i1, 2 * i1 - i3, 2 * i3 - 2 * i1 - 2)),
+        (1, 2, 1): ("iii", lambda i1, i2, i3, i4: (0, 2 * i1 - i2, i1, 3 * i2 - 3 * i1 - 2)),
+        (1, 1, 1, 1): ("iv", lambda i1, i2, i3, i4: (0, 2 * i1 - i2, i1 + i2 - i3, i2 + 2 * i3 - 3 * i1 - 2)),
     },
     7: {
-        (6,): "i",
-        (3, 3): "ii",
-        (1, 4, 1): "iii",
-        (2, 2, 2): "iv",
-        (1, 2, 2, 1): "v",
-        (2, 1, 1, 2): "vi",
-        (1, 1, 2, 1, 1): "vii",
-        (1, 1, 1, 1, 1, 1): "viii",
+        (6,): ("i", lambda i1, *_: (0, 0, i1 - 1, i1 - 1, 0, 0)),
+        (3, 3): ("ii", lambda i1, i2, i3, i4, *_: (
+            0, i4 - i1, 2 * i1 - i4, 2 * i1 - i4, 0, 2 * i4 - 2 * i1 - 2)),
+        (1, 4, 1): ("iii", lambda i1, i2, i3, i4, i5, i6: (i1 + i2 - i6, i6 - i2, i6 - i1 - 1, 0, 0, i1 - 1)),
+        (2, 2, 2): ("iv", lambda i1, i2, i3, i4, i5, i6: (0, 0, i1 - 1, i1 + i3 - i5, 0, 3 * i5 - 3 * i3 - 1)),
+        (1, 2, 2, 1): ("v", lambda i1, i2, i3, i4, *_: (
+            0, 2 * i1 - i2, 0, i2 - i1, i1 + i2 - i4, 2 * i4 - 2 * i1 - 2)),
+        (2, 1, 1, 2): ("vi", lambda i1, i2, i3, i4, *_: (
+            0, i4 - i3 - 1, i1 + i3 - i4, 2 * i1 - i4, 0, i3 + 2 * i4 - 3 * i1 - 1)),
+        (1, 1, 2, 1, 1): ("vii", lambda i1, i2, i3, *_: (
+            0, 0, 2 * i1 - i2, i1 + i2 - i3, i2 - i1, 3 * i3 - 2 * i1 - i2 - 2)),
+        (1, 1, 1, 1, 1, 1): ("viii", _viii),
     },
 }
+
+
+def _cases(p: int) -> dict:
+    """The pattern table of volume p."""
+    cases = _PATTERN_CASES.get(_as_int(p))
+    if cases is None:
+        raise ValueError("classification covers volumes 5 and 7 only")
+    return cases
 
 
 @dataclass(frozen=True)
@@ -79,8 +110,7 @@ def admissible(delta, p: int) -> CheckReport:
 
 def _exponents_and_verdict(delta, p: int) -> tuple[ExponentList, CheckReport]:
     """The exponent list of `delta`, built once, and its `admissible` verdict."""
-    if p not in _PATTERN_CASES:
-        raise ValueError("classification covers volumes 5 and 7 only")
+    _cases(p)
     m = sum(_validated_delta(delta))  # before building the list of m - 1 exponents
     if m != p:
         raise ValueError(f"delta-vector sums to {m}, expected {p}")
@@ -90,75 +120,19 @@ def _exponents_and_verdict(delta, p: int) -> tuple[ExponentList, CheckReport]:
     return e, CheckReport("admissible", violations)
 
 
+def _case(e: ExponentList):
+    """Case of an exponent list and its coefficient formula, from one lookup of its multiplicity pattern."""
+    pattern = tuple(len(list(run)) for _, run in groupby(e.values))
+    found = _cases(e.m).get(pattern)
+    if found is None:
+        raise ValueError(f"no case matches multiplicity pattern {pattern}")
+    label, formula = found
+    return CaseId(label, _viii_sign(*e.values) if label == "viii" else None), formula
+
+
 def classify_case(e: ExponentList) -> CaseId:
     """Case of an admissible exponent list, from its multiplicity pattern."""
-    p = e.m
-    if p not in _PATTERN_CASES:
-        raise ValueError("classification covers volumes 5 and 7 only")
-    pattern = tuple(len(list(run)) for _, run in groupby(e.values))
-    label = _PATTERN_CASES[p].get(pattern)
-    if label is None:
-        raise ValueError(f"no case matches multiplicity pattern {pattern}")
-    branch = None
-    if label == "viii":
-        i1, i2, i3 = e.values[0], e.values[1], e.values[2]
-        diff = i1 + i3 - 2 * i2
-        branch = (diff > 0) - (diff < 0)
-    return CaseId(label, branch)
-
-
-def _coefficients_vol5(label: str, vals) -> tuple[int, ...]:
-    i1, i2, i3, i4 = vals
-    if label == "i":
-        return (0, i1 - 1, i1 - 1, 0)
-    if label == "ii":
-        i, j = i1, i3
-        return (0, i, 2 * i - j, 2 * j - 2 * i - 2)
-    if label == "iii":
-        i, j = i1, i2
-        return (0, 2 * i - j, i, 3 * j - 3 * i - 2)
-    return (0, 2 * i1 - i2, i1 + i2 - i3, i2 + 2 * i3 - 3 * i1 - 2)
-
-
-def _coefficients_vol7(label: str, vals, branch) -> tuple[int, ...]:
-    i1, i2, i3, i4, i5, i6 = vals
-    if label == "i":
-        return (0, 0, i1 - 1, i1 - 1, 0, 0)
-    if label == "ii":
-        i, j = i1, i4
-        return (0, j - i, 2 * i - j, 2 * i - j, 0, 2 * j - 2 * i - 2)
-    if label == "iii":
-        i, j, k = i1, i2, i6
-        return (i + j - k, k - j, k - i - 1, 0, 0, i - 1)
-    if label == "iv":
-        i, j, k = i1, i3, i5
-        return (0, 0, i - 1, i + j - k, 0, 3 * k - 3 * j - 1)
-    if label == "v":
-        k1, k2, k3 = i1, i2, i4
-        return (0, 2 * k1 - k2, 0, k2 - k1, k1 + k2 - k3, 2 * k3 - 2 * k1 - 2)
-    if label == "vi":
-        k1, k2, k3 = i1, i3, i4
-        return (0, k3 - k2 - 1, k1 + k2 - k3, 2 * k1 - k3, 0, k2 + 2 * k3 - 3 * k1 - 1)
-    if label == "vii":
-        k1, k2, k3 = i1, i2, i3
-        return (0, 0, 2 * k1 - k2, k1 + k2 - k3, k2 - k1, 3 * k3 - 2 * k1 - k2 - 2)
-    if branch >= 0:
-        return (
-            0,
-            i1 + i2 - i3,
-            i1 + i3 - 2 * i2,
-            0,
-            2 * i2 - i4,
-            i3 + 2 * i4 - 2 * i1 - i2 - 2,
-        )
-    return (
-        0,
-        2 * i1 - i2,
-        0,
-        2 * i2 - i1 - i3,
-        i1 + i3 - i4,
-        i3 + 2 * i4 - 2 * i1 - i2 - 2,
-    )
+    return _case(e)[0]
 
 
 def witness(delta, p: int) -> Witness:
@@ -175,11 +149,8 @@ def witness(delta, p: int) -> Witness:
 
 def _witness(e: ExponentList) -> Witness:
     """Witness of an exponent list already known to be admissible."""
-    case = classify_case(e)
-    if e.m == 5:
-        coeffs = _coefficients_vol5(case.label, e.values)
-    else:
-        coeffs = _coefficients_vol7(case.label, e.values, case.branch)
+    case, formula = _case(e)
+    coeffs = formula(*e.values)
     if any(c < 0 for c in coeffs):
         raise AssertionError(f"case {case.label} gave negative coefficients {coeffs}")
     spec = HNFSpec(e.m, coeffs, e.dim)
@@ -196,9 +167,8 @@ def enumerate_admissible(p: int, d: int, budget: int = DEFAULT_BUDGET) -> list[W
     sum c in [2, d+1], h = (p-1)/2 sorted values from [1, c//2], then c minus them reversed.
     The budget bounds their number, C(k-1+h, h) for each of c = 2k and 2k+1, summed over k.
     """
-    if p not in _PATTERN_CASES:
-        raise ValueError("classification covers volumes 5 and 7 only")
-    if d < 1:
+    _cases(p)
+    if _as_int(d) < 1:
         raise ValueError("dimension must be >= 1")
     h = (p - 1) // 2
     within_budget(comb((d + 1) // 2 + h, h + 1) + comb(d // 2 + h, h + 1), budget, "candidates")

@@ -8,6 +8,7 @@ verdict, 1 negative verdict, 2 malformed input, 3 work budget exceeded,
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -107,13 +108,13 @@ def _box_budget(simplex, budget):
     return simplex
 
 
-def _report_dict(report):
-    return {"ok": report.ok, "violations": [list(v) if isinstance(v, tuple) else v for v in report.violations]}
+def _spec(args):
+    return HNFSpec(args.m, _parse_int_list(args.coeffs, "--coeffs"), args.dim)
 
 
 def _cmd_delta(args):
     delta = delta_from_box(_box_budget(_load_simplex(args.simplex), args.budget))
-    _emit(list(delta), args)
+    _emit(delta, args)
     return EXIT_OK
 
 
@@ -137,9 +138,9 @@ def _cmd_oracle(args):
         {
             "dim": simplex.dim,
             "normalized_volume": simplex.normalized_volume,
-            "counts": list(table.counts),
-            "interior_counts": list(table.interior_counts),
-            "delta": list(table.delta),
+            "counts": table.counts,
+            "interior_counts": table.interior_counts,
+            "delta": table.delta,
         },
         args,
     )
@@ -147,16 +148,16 @@ def _cmd_oracle(args):
 
 
 def _cmd_hnf(args):
-    spec = HNFSpec(args.m, _parse_int_list(args.coeffs, "--coeffs"), args.dim)
+    spec = _spec(args)
     simplex = _box_budget(build_simplex(spec), args.budget)
     closed = closed_form_delta(spec)
     via_box = delta_from_box(simplex)
     _emit(
         {
-            "spec": {"m": spec.m, "coeffs": list(spec.coeffs), "dim": spec.dim},
+            "spec": dataclasses.asdict(spec),
             "simplex": simplex.to_json_dict(),
-            "delta_closed_form": list(closed),
-            "delta_box": list(via_box),
+            "delta_closed_form": closed,
+            "delta_box": via_box,
             "agree": closed == via_box,
         },
         args,
@@ -171,7 +172,9 @@ def _cmd_check(args):
     within_budget(m - 1 + ((g - 1) // 2) ** 2, args.budget, "exponents and pairs")
     report = run_all_checks(delta)
     payload = dict(report)
-    payload["checks"] = {name: _report_dict(r) for name, r in report["checks"].items()}
+    payload["checks"] = {
+        name: {"ok": r.ok, "violations": r.violations} for name, r in report["checks"].items()
+    }
     _emit(payload, args)
     return EXIT_OK if report["all_pass"] else EXIT_NEGATIVE
 
@@ -182,7 +185,7 @@ def _cmd_classify(args):
         _emit(
             {
                 "admissible": False,
-                "violations": [list(v) for v in verdict.violations],
+                "violations": verdict.violations,
                 "case": None,
                 "witness": None,
                 "verified": False,
@@ -196,11 +199,7 @@ def _cmd_classify(args):
         {
             "admissible": True,
             "case": {"label": found.case.label, "branch": found.case.branch},
-            "witness": {
-                "m": found.spec.m,
-                "coeffs": list(found.spec.coeffs),
-                "dim": found.spec.dim,
-            },
+            "witness": dataclasses.asdict(found.spec),
             "verified": verified,
         },
         args,
@@ -216,9 +215,9 @@ def _cmd_enumerate(args):
         "count": len(witnesses),
         "entries": [
             {
-                "delta": list(w.delta),
+                "delta": w.delta,
                 "case": w.case.label,
-                "witness": {"m": w.spec.m, "coeffs": list(w.spec.coeffs), "dim": w.spec.dim},
+                "witness": dataclasses.asdict(w.spec),
             }
             for w in witnesses
         ],
@@ -230,8 +229,8 @@ def _cmd_enumerate(args):
         match = set(searched) == admissible_set
         payload["crosscheck"] = {
             "match": match,
-            "search_only": sorted(list(d) for d in set(searched) - admissible_set),
-            "enumerate_only": sorted(list(d) for d in admissible_set - set(searched)),
+            "search_only": sorted(set(searched) - admissible_set),
+            "enumerate_only": sorted(admissible_set - set(searched)),
         }
         if not match:
             code = EXIT_NEGATIVE
@@ -246,7 +245,7 @@ def _cmd_search(args):
             "dim": args.dim,
             "volume": args.volume,
             "count": len(deltas),
-            "deltas": [list(d) for d in deltas],
+            "deltas": deltas,
         },
         args,
     )
@@ -263,21 +262,21 @@ def _cmd_verify(args):
     elif have_spec:
         if args.m is None or args.coeffs is None or args.dim is None:
             raise ValueError("--m, --coeffs and --dim must be given together")
-        spec = HNFSpec(args.m, _parse_int_list(args.coeffs, "--coeffs"), args.dim)
+        spec = _spec(args)
         simplex = build_simplex(spec)
     else:
         raise ValueError("give --simplex or --m/--coeffs/--dim")
 
-    methods = {"box": list(delta_from_box(_box_budget(simplex, args.budget)))}
+    methods = {"box": delta_from_box(_box_budget(simplex, args.budget))}
     if spec is not None:
-        methods["closed_form"] = list(closed_form_delta(spec))
+        methods["closed_form"] = closed_form_delta(spec)
     skipped = None
     try:
-        methods["oracle"] = list(ehrhart_delta(simplex, budget=args.budget))
+        methods["oracle"] = ehrhart_delta(simplex, budget=args.budget)
     except BudgetExceededError as exc:
         methods["oracle"] = None
         skipped = exc.estimate
-    computed = [tuple(v) for v in methods.values() if v is not None]
+    computed = [v for v in methods.values() if v is not None]
     agree = all(v == computed[0] for v in computed)
     payload = {"methods": methods, "agree": agree}
     if skipped is not None:

@@ -10,7 +10,7 @@ here shares code with the parallelepiped-group path.
 from dataclasses import dataclass
 from math import comb
 
-from .lattice import DEFAULT_BUDGET, Simplex, row_hermite_form, within_budget
+from .lattice import DEFAULT_BUDGET, Simplex, _as_int, row_hermite_form, within_budget
 
 
 def cell_estimate(s: Simplex, n: int) -> int:
@@ -26,7 +26,7 @@ def count_lattice_points(
     s: Simplex, n: int, interior: bool = False, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Exact number of lattice points in the n-th dilate (interior points if asked)."""
-    if n < 1:
+    if _as_int(n) < 1:
         raise ValueError("dilation factor must be >= 1")
     return _count_dilates(s, (n,), budget)[interior][0]
 

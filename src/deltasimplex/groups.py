@@ -15,7 +15,7 @@ from collections import Counter
 from itertools import combinations_with_replacement, product
 from math import comb
 
-from .lattice import DEFAULT_BUDGET, within_budget
+from .lattice import DEFAULT_BUDGET, _as_int, within_budget
 
 
 def _invariant_factors(n: int, most: int, least: int = 1):
@@ -65,7 +65,7 @@ def exhaustive_search(d: int, vol: int, budget: int = DEFAULT_BUDGET) -> tuple[t
     The cyclic type alone is gated first, so a huge volume is refused before
     it is factored.
     """
-    if d < 1 or vol < 1:
+    if min(_as_int(d), _as_int(vol)) < 1:
         raise ValueError("need d >= 1 and vol >= 1")
     per_type = comb(vol + d - 1, d) * (d + 1) * vol + 2 * vol * vol
     within_budget(per_type, budget, "character values")

@@ -46,9 +46,7 @@ def _int_matrix(matrix):
         if len(row) != n:
             raise ValueError("matrix must be square")
         for x in row:
-            # the type test alone passes every plain int, cheaper than a call per entry
-            if type(x) is not int:
-                _as_int(x)
+            _as_int(x)
     return a
 
 
@@ -98,29 +96,20 @@ class SNFResult:
 
 
 def _least_entry(a, t):
-    """Row-major first position (i, j), i, j >= t, of the least nonzero |a[i][j]|.
-
-    The scan stops at the first entry of absolute value 1, since none can be less.
-    """
-    best = None
-    for i in range(t, len(a)):
-        row = a[i]
-        for j in range(t, len(a)):
-            v = abs(row[j])
-            if v and (best is None or v < best[0]):
-                if v == 1:
-                    return i, j
-                best = (v, i, j)
-    if best is None:
+    """Row-major first position (i, j), i, j >= t, of the least nonzero |a[i][j]|."""
+    n = len(a)
+    least = min(((abs(a[i][j]), i, j) for i in range(t, n) for j in range(t, n) if a[i][j]), default=None)
+    if least is None:
         raise ValueError("matrix is singular")
-    return best[1], best[2]
+    return least[1:]
 
 
 def smith_normal_form(matrix) -> SNFResult:
     """Smith normal form of a nonsingular square integer matrix; only `right` is tracked.
 
-    The membership and divisibility-chain properties are checked before
-    returning, also under `python -O`.
+    Before returning, also under `python -O`, it multiplies out matrix @ right
+    and checks that each column j is divisible by s_j (membership), and that
+    the diagonal is a divisibility chain.
     """
     a = _int_matrix(matrix)
     n = len(a)
@@ -158,8 +147,6 @@ def smith_normal_form(matrix) -> SNFResult:
                         clean = False
             if not clean:
                 continue
-            if pivot == 1:
-                break
             offender = None
             for i in range(t + 1, n):
                 for j in range(t + 1, n):
@@ -174,11 +161,9 @@ def smith_normal_form(matrix) -> SNFResult:
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
 
     diagonal = tuple(a[i][i] for i in range(n))
-    # divisibility by s_j = 1 is vacuous, so only the columns with s_j > 1 are multiplied out
-    checked = [j for j, s in enumerate(diagonal) if s > 1]
-    image = mat_mul([list(r) for r in matrix], [[row[j] for j in checked] for row in right])
-    for c, j in enumerate(checked):
-        if any(row[c] % diagonal[j] for row in image):
+    image = mat_mul(matrix, right)
+    for j, s in enumerate(diagonal):
+        if any(row[j] % s for row in image):
             raise AssertionError(f"Smith form column {j} of matrix @ right is not a multiple of {diagonal[j]}")
     if any(diagonal[i + 1] % diagonal[i] for i in range(n - 1)):
         raise AssertionError(f"Smith form diagonal {diagonal} is not a divisibility chain")

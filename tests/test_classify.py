@@ -5,8 +5,10 @@ import pytest
 
 from deltasimplex import (
     BudgetExceededError,
+    CaseId,
     ExponentList,
     HNFSpec,
+    Witness,
     admissible,
     build_simplex,
     check_pairing,
@@ -67,6 +69,36 @@ class TestClassifyCase:
         assert plus.label == "viii" and plus.branch == 1
         minus = classify_case(ExponentList((2, 4, 5, 6, 7, 9), 10))
         assert minus.label == "viii" and minus.branch == -1
+
+
+# one delta-vector per case, with the exact witness it has always had: another valid witness passes
+# every other test, yet changes `classify`/`enumerate` output
+PINNED_WITNESSES = [
+    (5, (1, 0, 4, 0), (0, 1, 1, 0), "i", None),
+    (5, (1, 0, 0, 2, 0, 2, 0, 0), (0, 3, 1, 2), "ii", None),
+    (5, (1, 0, 0, 1, 2, 1, 0, 0), (0, 2, 3, 1), "iii", None),
+    (5, (1, 0, 0, 1, 1, 0, 1, 1, 0, 0), (0, 2, 1, 5), "iv", None),
+    (7, (1, 0, 6, 0), (0, 0, 1, 1, 0, 0), "i", None),
+    (7, (1, 0, 0, 0, 3, 0, 0, 3, 0, 0, 0), (0, 3, 1, 1, 0, 4), "ii", None),
+    (7, (1, 0, 0, 1, 0, 4, 0, 1, 0, 0), (1, 2, 3, 0, 0, 2), "iii", None),
+    (7, (1, 0, 0, 2, 0, 2, 0, 2, 0, 0), (0, 0, 2, 1, 0, 5), "iv", None),
+    (7, (1, 0, 0, 0, 1, 2, 0, 2, 1, 0, 0, 0), (0, 3, 0, 1, 2, 4), "v", None),
+    (7, (1, 0, 0, 0, 0, 2, 1, 0, 1, 2, 0, 0, 0, 0), (0, 1, 3, 2, 0, 6), "vi", None),
+    (7, (1, 0, 0, 0, 1, 1, 0, 2, 0, 1, 1, 0, 0, 0), (0, 0, 3, 2, 1, 6), "vii", None),
+    (7, (1, 0, 0, 0, 1, 0, 1, 1, 1, 1, 0, 1, 0, 0, 0), (0, 2, 0, 1, 3, 7), "viii", -1),
+    (7, (1, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0, 0), (0, 2, 0, 0, 1, 7), "viii", 0),
+    (7, (1, 0, 0, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 0, 0), (0, 2, 1, 0, 2, 8), "viii", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "p, delta, coeffs, label, branch",
+    PINNED_WITNESSES,
+    ids=[f"{p}-{label}" + ("" if b is None else f"{b:+d}") for p, _, _, label, b in PINNED_WITNESSES],
+)
+def test_pinned_witness_of_every_case(p, delta, coeffs, label, branch):
+    spec = HNFSpec(p, coeffs, len(delta) - 1)
+    assert witness(delta, p) == Witness(spec, CaseId(label, branch), delta)
 
 
 class TestWitness:

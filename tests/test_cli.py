@@ -115,14 +115,14 @@ class TestBox:
         path = tmp_path / "long.json"
         path.write_text(json.dumps({"vertices": [[0], [20011]]}))
         src = os.path.dirname(os.path.dirname(deltasimplex.__file__))
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "deltasimplex.cli", "--output", "text", "box", "--simplex", str(path)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
-        )
-        assert proc.stdout.readline() == b"-\n"
-        proc.stdout.close()
-        assert proc.stderr.read() == b""
-        assert proc.wait(timeout=60) == 141
+        ) as proc:
+            assert proc.stdout.readline() == b"-\n"
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=60) == 141
 
 
 class TestOracle:

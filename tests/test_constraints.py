@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from deltasimplex import (
     ExponentList,
     HNFSpec,
+    Simplex,
+    admissible,
     check_hibi,
     check_hibi_exponents,
     check_nonprime,
@@ -15,9 +17,11 @@ from deltasimplex import (
     check_stanley_exponents,
     check_superadditive,
     classify_case,
+    count_lattice_points,
     delta_from_exponents,
     enumerate_admissible,
     exact_det,
+    exhaustive_search,
     exponents,
     is_prime,
     least_prime_divisor,
@@ -93,10 +97,19 @@ class TestExponents:
         lambda: HNFSpec(5.0, (0, 1, 1, 0), 3),
         lambda: HNFSpec(5, (0, 1, 1, 0), 3.0),
         lambda: HNFSpec(True, (), 3),
+        lambda: exhaustive_search(True, 5),
+        lambda: exhaustive_search(2.0, 4),
+        lambda: exhaustive_search(2, 4.0),
+        lambda: count_lattice_points(Simplex(((0, 0), (1, 0), (2, 5))), True),
+        lambda: enumerate_admissible(5.0, 3),
+        lambda: enumerate_admissible(5, 3.0),
+        lambda: admissible((1, 0, 4, 0), 5.0),
     ],
     ids=[
         "witness-float", "checks-float", "exponents-str", "exponents-bool", "exponent-dim-float",
-        "spec-coeff-float", "spec-m-float", "spec-dim-float", "spec-m-bool",
+        "spec-coeff-float", "spec-m-float", "spec-dim-float", "spec-m-bool", "search-dim-bool",
+        "search-dim-float", "search-volume-float", "count-dilate-bool", "enumerate-volume-float",
+        "enumerate-dim-float", "admissible-volume-float",
     ],
 )
 def test_library_inputs_are_integers_only(call):
