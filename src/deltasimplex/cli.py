@@ -1,16 +1,19 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing, text formats, rendering and exit codes.
 
 Output goes to stdout as compact JSON (or plain text with --output text);
 errors go to stderr as JSON objects. Exit codes: 0 success / positive
 verdict, 1 negative verdict, 2 malformed input, 3 work budget exceeded,
 4 internal error (a contract check failed), 141 stdout closed early
-(128 + SIGPIPE).
+(128 + SIGPIPE). Each `_cmd_*` handler returns (payload, ok); `main` alone
+prints the payload and maps ok to exit 0 or 1. Integers given as text, on the
+command line or as string coordinates in a simplex file, read -?[0-9]+.
 """
 
 import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from .constraints import _validated_delta, least_prime_divisor, run_all_checks
 from .ehrhart import ehrhart_delta, ehrhart_table
 from .groups import exhaustive_search
 from .hnf import HNFSpec, build_simplex, closed_form_delta
-from .lattice import DEFAULT_BUDGET, BudgetExceededError, Simplex, ascii_int, within_budget
+from .lattice import DEFAULT_BUDGET, BudgetExceededError, Simplex, within_budget
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -86,6 +89,13 @@ def _error(kind, message, **extra):
     print(json.dumps(_jsonable(body)), file=sys.stderr)
 
 
+def ascii_int(text: str) -> int:
+    """Integer written -?[0-9]+; unlike int(), refuses '_', '+', spaces and non-ASCII digits."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"integer required, got {text!r}")
+    return int(text)
+
+
 def _parse_int_list(text, what):
     try:
         return tuple(ascii_int(part) for part in text.split(","))
@@ -94,12 +104,24 @@ def _parse_int_list(text, what):
 
 
 def _load_simplex(path):
+    """Strict parse of a simplex file {"vertices": [[int, ...], ...]}; floats are rejected."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         obj = json.loads(text)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
-    return Simplex.from_json_dict(obj)
+    if not isinstance(obj, dict) or set(obj) != {"vertices"}:
+        raise ValueError('expected a JSON object with a single "vertices" key')
+    rows = obj["vertices"]
+    if not isinstance(rows, list) or not rows:
+        raise ValueError('"vertices" must be a nonempty list of integer rows')
+    verts = []
+    for row in rows:
+        if not isinstance(row, list):
+            raise ValueError("each vertex must be a list of integers")
+        # decimal strings are accepted so outputs stringified beyond 2**53 round-trip
+        verts.append(tuple(ascii_int(x) if isinstance(x, str) else x for x in row))
+    return Simplex(tuple(verts))
 
 
 def _box_budget(simplex, budget):
@@ -113,38 +135,30 @@ def _spec(args):
 
 
 def _cmd_delta(args):
-    delta = delta_from_box(_box_budget(_load_simplex(args.simplex), args.budget))
-    _emit(delta, args)
-    return EXIT_OK
+    return delta_from_box(_box_budget(_load_simplex(args.simplex), args.budget)), True
 
 
 def _cmd_box(args):
     points = enumerate_box(_box_budget(_load_simplex(args.simplex), args.budget))
-    payload = [
+    return [
         {
             "coeffs": [f"{n}/{point.denominator}" for n in point.numerators],
             "degree": point.degree,
         }
         for point in points
-    ]
-    _emit(payload, args)
-    return EXIT_OK
+    ], True
 
 
 def _cmd_oracle(args):
     simplex = _load_simplex(args.simplex)
     table = ehrhart_table(simplex, budget=args.budget)
-    _emit(
-        {
-            "dim": simplex.dim,
-            "normalized_volume": simplex.normalized_volume,
-            "counts": table.counts,
-            "interior_counts": table.interior_counts,
-            "delta": table.delta,
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "dim": simplex.dim,
+        "normalized_volume": simplex.normalized_volume,
+        "counts": table.counts,
+        "interior_counts": table.interior_counts,
+        "delta": table.delta,
+    }, True
 
 
 def _cmd_hnf(args):
@@ -152,17 +166,14 @@ def _cmd_hnf(args):
     simplex = _box_budget(build_simplex(spec), args.budget)
     closed = closed_form_delta(spec)
     via_box = delta_from_box(simplex)
-    _emit(
-        {
-            "spec": dataclasses.asdict(spec),
-            "simplex": simplex.to_json_dict(),
-            "delta_closed_form": closed,
-            "delta_box": via_box,
-            "agree": closed == via_box,
-        },
-        args,
-    )
-    return EXIT_OK if closed == via_box else EXIT_NEGATIVE
+    agree = closed == via_box
+    return {
+        "spec": dataclasses.asdict(spec),
+        "simplex": {"vertices": simplex.vertices},
+        "delta_closed_form": closed,
+        "delta_box": via_box,
+        "agree": agree,
+    }, agree
 
 
 def _cmd_check(args):
@@ -175,36 +186,27 @@ def _cmd_check(args):
     payload["checks"] = {
         name: {"ok": r.ok, "violations": r.violations} for name, r in report["checks"].items()
     }
-    _emit(payload, args)
-    return EXIT_OK if report["all_pass"] else EXIT_NEGATIVE
+    return payload, report["all_pass"]
 
 
 def _cmd_classify(args):
     e, verdict = _exponents_and_verdict(_parse_int_list(args.delta, "--delta"), args.volume)
     if not verdict.ok:
-        _emit(
-            {
-                "admissible": False,
-                "violations": verdict.violations,
-                "case": None,
-                "witness": None,
-                "verified": False,
-            },
-            args,
-        )
-        return EXIT_NEGATIVE
+        return {
+            "admissible": False,
+            "violations": verdict.violations,
+            "case": None,
+            "witness": None,
+            "verified": False,
+        }, False
     found = _witness(e)
     verified = delta_from_box(_box_budget(build_simplex(found.spec), args.budget)) == found.delta
-    _emit(
-        {
-            "admissible": True,
-            "case": {"label": found.case.label, "branch": found.case.branch},
-            "witness": dataclasses.asdict(found.spec),
-            "verified": verified,
-        },
-        args,
-    )
-    return EXIT_OK if verified else EXIT_NEGATIVE
+    return {
+        "admissible": True,
+        "case": {"label": found.case.label, "branch": found.case.branch},
+        "witness": dataclasses.asdict(found.spec),
+        "verified": verified,
+    }, verified
 
 
 def _cmd_enumerate(args):
@@ -222,34 +224,27 @@ def _cmd_enumerate(args):
             for w in witnesses
         ],
     }
-    code = EXIT_OK
-    if args.exhaustive_crosscheck:
-        searched = exhaustive_search(args.dim, args.volume, budget=args.budget)
-        admissible_set = {w.delta for w in witnesses}
-        match = set(searched) == admissible_set
-        payload["crosscheck"] = {
-            "match": match,
-            "search_only": sorted(set(searched) - admissible_set),
-            "enumerate_only": sorted(admissible_set - set(searched)),
-        }
-        if not match:
-            code = EXIT_NEGATIVE
-    _emit(payload, args)
-    return code
+    if not args.exhaustive_crosscheck:
+        return payload, True
+    searched = exhaustive_search(args.dim, args.volume, budget=args.budget)
+    admissible_set = {w.delta for w in witnesses}
+    match = set(searched) == admissible_set
+    payload["crosscheck"] = {
+        "match": match,
+        "search_only": sorted(set(searched) - admissible_set),
+        "enumerate_only": sorted(admissible_set - set(searched)),
+    }
+    return payload, match
 
 
 def _cmd_search(args):
     deltas = exhaustive_search(args.dim, args.volume, budget=args.budget)
-    _emit(
-        {
-            "dim": args.dim,
-            "volume": args.volume,
-            "count": len(deltas),
-            "deltas": deltas,
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "dim": args.dim,
+        "volume": args.volume,
+        "count": len(deltas),
+        "deltas": deltas,
+    }, True
 
 
 def _cmd_verify(args):
@@ -281,8 +276,7 @@ def _cmd_verify(args):
     payload = {"methods": methods, "agree": agree}
     if skipped is not None:
         payload["oracle_skipped_estimate"] = skipped
-    _emit(payload, args)
-    return EXIT_OK if agree else EXIT_NEGATIVE
+    return payload, agree
 
 
 def _build_parser():
@@ -355,7 +349,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        payload, ok = args.handler(args)
+        _emit(payload, args)
+        return EXIT_OK if ok else EXIT_NEGATIVE
     except BrokenPipeError:
         # the reader is gone: point stdout at devnull so the flush at exit cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -1,10 +1,9 @@
 """Exact integer linear algebra, the full-dimensional lattice simplex type and the work budget.
 
 Everything here runs on Python's arbitrary-precision integers, so all results
-are exact and overflow cannot happen silently.
+are exact and overflow cannot happen silently. Text formats live in `cli`.
 """
 
-import re
 from dataclasses import dataclass, field
 from operator import sub
 
@@ -250,29 +249,3 @@ class Simplex:
     def homogeneous_matrix(self):
         """Rows (v_i, 1) for i = 0..d."""
         return tuple(v + (1,) for v in self.vertices)
-
-    def to_json_dict(self) -> dict:
-        return {"vertices": [list(v) for v in self.vertices]}
-
-    @classmethod
-    def from_json_dict(cls, obj) -> "Simplex":
-        """Strict parse of {"vertices": [[int, ...], ...]}; floats are rejected."""
-        if not isinstance(obj, dict) or set(obj) != {"vertices"}:
-            raise ValueError('expected a JSON object with a single "vertices" key')
-        rows = obj["vertices"]
-        if not isinstance(rows, list) or not rows:
-            raise ValueError('"vertices" must be a nonempty list of integer rows')
-        verts = []
-        for row in rows:
-            if not isinstance(row, list):
-                raise ValueError("each vertex must be a list of integers")
-            # decimal strings are accepted so outputs stringified beyond 2**53 round-trip
-            verts.append(tuple(ascii_int(x) if isinstance(x, str) else x for x in row))
-        return cls(tuple(verts))
-
-
-def ascii_int(text: str) -> int:
-    """Integer written -?[0-9]+; unlike int(), refuses '_', '+', spaces and non-ASCII digits."""
-    if not re.fullmatch("-?[0-9]+", text):
-        raise ValueError(f"integer required, got {text!r}")
-    return int(text)

@@ -1,10 +1,13 @@
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -51,9 +54,21 @@ class TestDelta:
     def test_float_vertices_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"vertices": [[0.0], [5]]}')
-        code, _, err = run(capsys, ["delta", "--simplex", str(path)])
-        assert code == 2
-        assert "error" in json.loads(err)
+        code, out, err = run(capsys, ["delta", "--simplex", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == "integer required, got 0.0"
+
+    @pytest.mark.parametrize(
+        "vertices, delta",
+        [([["0"], ["-5"]], [1, 4]), ([["0", "0"], ["1", "0"], [str(2**60), "1"]], [1, 0, 0])],
+        ids=["signed", "beyond-2**53"],
+    )
+    def test_decimal_string_vertices(self, capsys, tmp_path, vertices, delta):
+        # integers beyond 2**53 are written as decimal strings, so files must accept them back
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps({"vertices": vertices}))
+        code, out, err = run(capsys, ["delta", "--simplex", str(path)])
+        assert (code, json.loads(out), err) == (0, delta, "")
 
     def test_degenerate_rejected(self, capsys, tmp_path):
         path = tmp_path / "flat.json"
@@ -61,14 +76,14 @@ class TestDelta:
         code, _, err = run(capsys, ["delta", "--simplex", str(path)])
         assert code == 2
 
-    @pytest.mark.parametrize("digit", ["\u0663", "\uff13"])
+    @pytest.mark.parametrize("digit", ["\u0663", "-\u0663", "\uff13", "1\uff10"])
     def test_non_ascii_digit_strings_rejected(self, capsys, tmp_path, digit):
         path = tmp_path / "digits.json"
         path.write_text(json.dumps({"vertices": [[digit], ["0"]]}), encoding="utf-8")
         code, out, err = run(capsys, ["delta", "--simplex", str(path)])
         assert code == 2
         assert out == ""
-        assert "error" in json.loads(err)
+        assert json.loads(err)["error"]["message"] == f"integer required, got {digit!r}"
 
     @pytest.mark.parametrize("command", ["delta", "box", "oracle", "verify"])
     def test_deeply_nested_file_is_malformed_input(self, capsys, tmp_path, command):
@@ -167,7 +182,7 @@ class TestOracle:
         path = tmp_path / "random.json"
         for _ in range(40):
             s = random_simplex(rng, max_dim=4, max_volume=40)
-            path.write_text(json.dumps(s.to_json_dict()))
+            path.write_text(json.dumps({"vertices": s.vertices}))
             code, out, _ = run(capsys, ["oracle", "--simplex", str(path), "--budget", str(10**12)])
             assert code == 0
             assert json.loads(out)["delta"] == list(delta_from_box(s))
@@ -182,6 +197,15 @@ class TestHnf:
         assert payload["delta_box"] == [1, 0, 4, 0]
         assert payload["agree"] is True
         assert payload["simplex"]["vertices"][-1] == [2, 3, 5]
+
+    def test_simplex_field_feeds_delta(self, capsys, tmp_path):
+        code, out, _ = run(capsys, ["hnf", "--m", "7", "--coeffs", "1,0,2,0,1,0", "--dim", "5"])
+        assert code == 0
+        payload = json.loads(out)
+        path = tmp_path / "member.json"
+        path.write_text(json.dumps(payload["simplex"]))
+        code, out, err = run(capsys, ["delta", "--simplex", str(path)])
+        assert (code, json.loads(out), err) == (0, payload["delta_box"], "")
 
     def test_bad_coeff_count(self, capsys):
         code, _, err = run(capsys, ["hnf", "--m", "5", "--coeffs", "0,1", "--dim", "3"])
@@ -503,6 +527,11 @@ class TestMalformedInput:
         "one-vertex": (
             ["delta", "--simplex", "{file}"], {"vertices": [[0]]}, "a simplex needs at least two vertices",
         ),
+        "bool-vertex": (["delta", "--simplex", "{file}"], {"vertices": [[True], [5]]}, "integer required, got True"),
+        "extra-key": (
+            ["delta", "--simplex", "{file}"], {"vertices": [[0], [5]], "color": "red"},
+            'expected a JSON object with a single "vertices" key',
+        ),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -541,3 +570,21 @@ class TestOutputModes:
         code, out, _ = run(capsys, ["delta", "--simplex", segment_file, "--output", "text"])
         assert code == 0
         assert out.strip() == "- 1\n- 4"
+
+
+def test_readme_cli_block(capsys, monkeypatch, tmp_path, segment_file, triangle_file):
+    """Each `deltasimplex` line of README's CLI block exits 0, or as its `# exit N` says, and prints its `# ->` line."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    monkeypatch.chdir(tmp_path)
+    commands = [(i, line) for i, line in enumerate(lines) if line.startswith("deltasimplex ")]
+    for i, line in commands:
+        command, _, comment = line.partition("#")
+        documented = re.match(r" *exit (\d+)", comment)
+        code, out, err = run(capsys, shlex.split(command)[1:])
+        assert (code, err) == (int(documented[1]) if documented else 0, ""), line
+        expected = "".join(lines[i + 1 : i + 2])
+        if expected.startswith("# -> "):
+            pattern = ".*".join(map(re.escape, expected[len("# -> "):].split("...")))
+            assert re.fullmatch(pattern, out.rstrip("\n")), line
+    assert len(commands) == 10

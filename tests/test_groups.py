@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 import deltasimplex.groups as groups
-from deltasimplex import BudgetExceededError, delta_from_box, exhaustive_search, iter_hnf_simplices
+from deltasimplex import BudgetExceededError, delta_from_box, exhaustive_search, iter_hnf_simplices, run_all_checks
 from deltasimplex.cli import main
 
 # non-cyclic groups among them have two, three and four invariant factors: Z/2 x Z/6 (2, 12),
@@ -17,6 +17,8 @@ SEARCHED = [
     (3, 8), (3, 11), (3, 30), (4, 5), (4, 6), (3, 9), (3, 12), (5, 5),
     (3, 16), (2, 24), (3, 24), (4, 8), (5, 7), (4, 11), (3, 36), (4, 16), (2, 1), (3, 1),
 ]
+# (1, 1, 1, p-5, 1, 1) at p = 11, 13: pairing and superadditivity admit them, no simplex realizes them
+UNREALIZED = [(1, 1, 1, 6, 1, 1), (1, 1, 1, 8, 1, 1)]
 # (d, vol, budget) refused before any character value is computed
 REFUSED = [(5, 11, 100), (6, 13, 10), (30, 2**6, 10**8), (1, 3000000, 10)]
 
@@ -72,3 +74,18 @@ def test_huge_volume_is_refused_before_it_is_factored(capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
     assert str(comb(10**30 + 1, 2) * 3 * 10**30 + 2 * 10**60) in captured.err
+
+
+@pytest.mark.parametrize("delta", UNREALIZED, ids=["p11", "p13"])
+def test_admitted_but_unrealized(capsys, delta):
+    """`check` passes these vectors (exit 0 is not "realizable"), yet the sweep never finds them."""
+    assert run_all_checks(delta)["all_pass"]
+    assert main(["check", "--delta", ",".join(map(str, delta))]) == 0
+    assert capsys.readouterr().err == ""
+    assert delta not in exhaustive_search(len(delta) - 1, sum(delta))
+
+
+def test_unrealized_at_volume_11_by_the_vertex_matrices():
+    deltas = [delta_from_box(s) for s in iter_hnf_simplices(5, 11)]
+    assert len(deltas) == 16105
+    assert UNREALIZED[0] not in deltas

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -171,29 +170,3 @@ class TestSimplex:
             for x in diag:
                 prod *= x
             assert prod == s.normalized_volume
-
-    def test_json_roundtrip(self):
-        s = Simplex(((0, 0), (3, 1), (1, 2)))
-        again = Simplex.from_json_dict(json.loads(json.dumps(s.to_json_dict())))
-        assert again == s
-
-    def test_json_rejects_floats(self):
-        with pytest.raises(ValueError):
-            Simplex.from_json_dict({"vertices": [[0.0], [5]]})
-
-    def test_json_rejects_bools(self):
-        with pytest.raises(ValueError):
-            Simplex.from_json_dict({"vertices": [[True], [5]]})
-
-    def test_json_accepts_decimal_strings(self):
-        s = Simplex.from_json_dict({"vertices": [["0"], ["-5"]]})
-        assert s.vertices == ((0,), (-5,))
-
-    @pytest.mark.parametrize("text", ["\u0663", "-\u0663", "\uff13", "1\uff10"])
-    def test_json_rejects_non_ascii_digit_strings(self, text):
-        with pytest.raises(ValueError):
-            Simplex.from_json_dict({"vertices": [[text], ["0"]]})
-
-    def test_json_rejects_extra_keys(self):
-        with pytest.raises(ValueError):
-            Simplex.from_json_dict({"vertices": [[0], [5]], "color": "red"})

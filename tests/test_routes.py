@@ -113,3 +113,24 @@ def test_group_sweep_uses_no_route_and_no_classification():
     for source, name in imports("groups"):
         parts = {source.lstrip(".").rsplit(".", 1)[-1], name}
         assert not parts & {"box", "ehrhart", "hnf", "classify"}, (source, name)
+
+
+def functions_naming(module, names):
+    """Names of the top-level functions of a module in whose bodies any of `names` appears."""
+    return sorted(
+        node.name
+        for node in parse(module).body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id in names for n in ast.walk(node))
+    )
+
+
+def test_one_exit_path_in_the_cli():
+    """Handlers return (payload, ok); `main` alone prints the payload and chooses exit 0 or 1."""
+    assert functions_naming("cli", {"_emit"}) == ["main"]
+    assert functions_naming("cli", {"EXIT_OK", "EXIT_NEGATIVE"}) == ["main"]
+
+
+def test_lattice_reads_no_text():
+    """The simplex file format and the integer syntax live in `cli`."""
+    assert not {source for source, _ in imports("lattice")} & {"re", "json"}
