@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltasimplex import DegenerateSimplexError, Simplex, exact_det, smith_normal_form
+from deltasimplex.cli import _load_simplex
 from deltasimplex.lattice import mat_mul, row_hermite_form
 
 
@@ -170,3 +172,35 @@ class TestSimplex:
             for x in diag:
                 prod *= x
             assert prod == s.normalized_volume
+
+    # The simplex file format {"vertices": [[int, ...], ...]} is read by the CLI.
+    @staticmethod
+    def from_file(tmp_path, obj):
+        path = tmp_path / "simplex.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        return _load_simplex(path)
+
+    def test_json_roundtrip(self, tmp_path):
+        s = Simplex(((0, 0), (3, 1), (1, 2)))
+        assert self.from_file(tmp_path, {"vertices": s.vertices}) == s
+
+    def test_json_rejects_floats(self, tmp_path):
+        with pytest.raises(ValueError):
+            self.from_file(tmp_path, {"vertices": [[0.0], [5]]})
+
+    def test_json_rejects_bools(self, tmp_path):
+        with pytest.raises(ValueError):
+            self.from_file(tmp_path, {"vertices": [[True], [5]]})
+
+    def test_json_accepts_decimal_strings(self, tmp_path):
+        s = self.from_file(tmp_path, {"vertices": [["0"], ["-5"]]})
+        assert s.vertices == ((0,), (-5,))
+
+    @pytest.mark.parametrize("text", ["\u0663", "-\u0663", "\uff13", "1\uff10"])
+    def test_json_rejects_non_ascii_digit_strings(self, tmp_path, text):
+        with pytest.raises(ValueError):
+            self.from_file(tmp_path, {"vertices": [[text], ["0"]]})
+
+    def test_json_rejects_extra_keys(self, tmp_path):
+        with pytest.raises(ValueError):
+            self.from_file(tmp_path, {"vertices": [[0], [5]], "color": "red"})
