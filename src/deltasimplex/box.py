@@ -26,9 +26,6 @@ class BoxPoint:
     denominator: int
     degree: int
 
-    def is_identity(self) -> bool:
-        return all(n == 0 for n in self.numerators)
-
 
 def _box_coordinates(s: Simplex):
     """Group denominator and, one coordinate at a time, the numerators of every group element.

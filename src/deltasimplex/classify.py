@@ -151,8 +151,8 @@ def _witness(e: ExponentList) -> Witness:
     """Witness of an exponent list already known to be admissible."""
     case, formula = _case(e)
     coeffs = formula(*e.values)
-    if any(c < 0 for c in coeffs):
-        raise AssertionError(f"case {case.label} gave negative coefficients {coeffs}")
+    if any(c < 0 for c in coeffs) or sum(coeffs) > e.dim - 1:
+        raise AssertionError(f"case {case.label} gave coefficients {coeffs} that are negative or sum past {e.dim - 1}")
     spec = HNFSpec(e.m, coeffs, e.dim)
     produced = closed_form_delta(spec)
     if produced != delta_from_exponents(e):
@@ -165,13 +165,15 @@ def enumerate_admissible(p: int, d: int, budget: int = DEFAULT_BUDGET) -> list[W
 
     Visits only the lists the pairing allows, each checked once for superadditivity: per pair
     sum c in [2, d+1], h = (p-1)/2 sorted values from [1, c//2], then c minus them reversed.
-    The budget bounds their number, C(k-1+h, h) for each of c = 2k and 2k+1, summed over k.
+    The budget bounds what the result can hold: their number, C(k-1+h, h) for each of
+    c = 2k and 2k+1 summed over k, times the d+1 entries of each delta-vector.
     """
     _cases(p)
     if _as_int(d) < 1:
         raise ValueError("dimension must be >= 1")
     h = (p - 1) // 2
-    within_budget(comb((d + 1) // 2 + h, h + 1) + comb(d // 2 + h, h + 1), budget, "candidates")
+    candidates = comb((d + 1) // 2 + h, h + 1) + comb(d // 2 + h, h + 1)
+    within_budget(candidates * (d + 1), budget, "candidate delta entries")
     pairs = reduced_pairs(p)
     results = []
     for c in range(2, d + 2):

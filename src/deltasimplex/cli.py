@@ -280,7 +280,7 @@ def _cmd_verify(args):
 
 
 def _build_parser():
-    budget_help = "work budget in cells / box points / character values / candidates / exponents and pairs"
+    budget_help = "work budget in cells / box points / character values / candidate delta entries / exponents and pairs"
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=ascii_int, default=argparse.SUPPRESS, help=budget_help)
     common.add_argument("--output", choices=("json", "text"), default=argparse.SUPPRESS)

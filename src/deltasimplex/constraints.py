@@ -95,6 +95,13 @@ class CheckReport:
         return not self.violations
 
 
+def _odd_prime(m: int, what: str) -> int:
+    """m itself, after checking the odd prime volume that `what` requires."""
+    if m % 2 == 0 or not is_prime(m):
+        raise ValueError(f"{what} requires an odd prime volume, got {m}")
+    return m
+
+
 def _report(name, violations) -> CheckReport:
     return CheckReport(name, tuple(violations))
 
@@ -106,9 +113,7 @@ def check_pairing(e: ExponentList) -> CheckReport:
     pair's, or the outer pair (1, m-1) itself when the shared sum exceeds
     dim+1.
     """
-    m = e.m
-    if m % 2 == 0 or not is_prime(m):
-        raise ValueError(f"pairing check requires an odd prime volume, got {m}")
+    m = _odd_prime(e.m, "pairing check")
     vals = e.values
     constant = vals[0] + vals[m - 2]
     violations = []
@@ -137,9 +142,7 @@ def check_superadditive(e: ExponentList, pairs=None) -> CheckReport:
     An explicit `pairs` iterable restricts the check (used with
     `reduced_pairs`, which is equivalent once the pairing equalities hold).
     """
-    m = e.m
-    if m % 2 == 0 or not is_prime(m):
-        raise ValueError(f"superadditivity check requires an odd prime volume, got {m}")
+    m = _odd_prime(e.m, "superadditivity check")
     if pairs is None:
         pairs = _pairs_below(m)
     return _superadditive(e, pairs, "superadditive")
@@ -147,8 +150,7 @@ def check_superadditive(e: ExponentList, pairs=None) -> CheckReport:
 
 def reduced_pairs(p: int) -> tuple[tuple[int, int], ...]:
     """The index pairs that suffice for the superadditivity check at odd prime p."""
-    if p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"expected an odd prime, got {p}")
+    _odd_prime(p, "reduced pair set")
     return tuple(
         (k, l)
         for k in range(1, (p - 1) // 3 + 1)

@@ -2,12 +2,12 @@
 
 This is the independent ground truth for delta-vectors: count points of the
 dilates, extract the delta-vector by the alternating binomial transform, and
-check the interior/closed count reciprocity. One walk of the largest dilate
-asked for gives the closed and interior counts of every smaller one. Nothing
-here shares code with the parallelepiped-group path.
+check every interior count against it by reciprocity. One walk of the largest
+dilate asked for gives the closed and interior counts of every smaller one.
+Nothing here shares code with the parallelepiped-group path.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 from .lattice import DEFAULT_BUDGET, Simplex, _as_int, row_hermite_form, within_budget
@@ -82,8 +82,13 @@ def _count_dilates(s, dilates, budget):
     )
 
 
-def _delta_from_counts(counts, volume: int) -> tuple[int, ...]:
-    """Delta-vector from the closed counts of dilates 0..d (alternating binomial transform)."""
+def _delta_from_counts(counts, interior, volume: int) -> tuple[int, ...]:
+    """Delta-vector from the closed counts of dilates 0..d, checked against the interior counts.
+
+    The alternating binomial transform gives the delta-vector. Reciprocity then
+    predicts the interior count of dilate n = 1, 2, ... as sum_i delta_i C(n + i - 1, d),
+    the negated closed polynomial (-1)^d L(-n); a disagreement names (n, counted, predicted).
+    """
     d = len(counts) - 1
     delta = tuple(
         sum((-1) ** j * comb(d + 1, j) * counts[i - j] for j in range(i + 1))
@@ -91,16 +96,21 @@ def _delta_from_counts(counts, volume: int) -> tuple[int, ...]:
     )
     if delta[0] != 1 or min(delta) < 0 or sum(delta) != volume:
         raise AssertionError(f"dilate counts give delta-vector {delta}, volume {volume}")
+    for n, counted in enumerate(interior, start=1):
+        predicted = sum(x * comb(n + i - 1, d) for i, x in enumerate(delta))
+        if counted != predicted:
+            raise AssertionError(f"reciprocity fails at (n, counted, predicted) = {(n, counted, predicted)}")
     return delta
 
 
 @dataclass(frozen=True)
 class EhrhartTable:
-    """Counts of the dilates: closed for n = 0..d+1, interior for n = 1..d+1."""
+    """Counts of the dilates: closed for n = 0..d+1, interior for n = 1..d+1; `delta` is derived."""
 
     simplex: Simplex
     counts: tuple[int, ...]
     interior_counts: tuple[int, ...]
+    delta: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         d = self.simplex.dim
@@ -113,13 +123,8 @@ class EhrhartTable:
             raise AssertionError(f"closed counts {counts} do not increase")
         if any(interior[i] > counts[i + 1] for i in range(d + 1)):
             raise AssertionError(f"interior counts {interior} exceed closed counts {counts[1:]}")
-
-    @property
-    def delta(self) -> tuple[int, ...]:
-        """Delta-vector from the closed counts of dilates 0..d."""
-        return _delta_from_counts(
-            self.counts[: self.simplex.dim + 1], self.simplex.normalized_volume
-        )
+        delta = _delta_from_counts(counts[: d + 1], interior, self.simplex.normalized_volume)
+        object.__setattr__(self, "delta", delta)
 
 
 def ehrhart_table(s: Simplex, budget: int = DEFAULT_BUDGET) -> EhrhartTable:
@@ -129,35 +134,6 @@ def ehrhart_table(s: Simplex, budget: int = DEFAULT_BUDGET) -> EhrhartTable:
 
 
 def ehrhart_delta(s: Simplex, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
-    """Delta-vector from dilate counts via the alternating binomial transform."""
-    closed, _ = _count_dilates(s, range(1, s.dim + 1), budget)
-    return _delta_from_counts((1,) + closed, s.normalized_volume)
-
-
-@dataclass(frozen=True)
-class ReciprocityReport:
-    """Verdict for interior(n) == (-1)^d closed(-n) over n = 1..d+1."""
-
-    first_mismatch: tuple[int, int, int] | None
-    table: EhrhartTable
-
-    @property
-    def ok(self) -> bool:
-        return self.first_mismatch is None
-
-
-def reciprocity_check(s: Simplex, budget: int = DEFAULT_BUDGET) -> ReciprocityReport:
-    """Compare directly counted interior points against the negated polynomial values.
-
-    With the table's delta-vector, closed(n) = sum_i delta_i C(n - i + d, d), so
-    (-1)^d closed(-n) = sum_i delta_i C(n + i - 1, d). A mismatch is (n, counted, predicted).
-    """
-    d = s.dim
-    table = ehrhart_table(s, budget=budget)
-    delta = table.delta
-    for n in range(1, d + 2):
-        predicted = sum(x * comb(n + i - 1, d) for i, x in enumerate(delta))
-        counted = table.interior_counts[n - 1]
-        if counted != predicted:
-            return ReciprocityReport((n, counted, predicted), table)
-    return ReciprocityReport(None, table)
+    """Delta-vector from dilate counts via the alternating binomial transform, checked by reciprocity."""
+    closed, interior = _count_dilates(s, range(1, s.dim + 1), budget)
+    return _delta_from_counts((1,) + closed, interior, s.normalized_volume)

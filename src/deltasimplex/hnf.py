@@ -70,7 +70,7 @@ def closed_form_delta(spec: HNFSpec) -> tuple[int, ...]:
         t = sum((i * j) % m * mult for j, mult in nonzero)
         exponent = 1 - (i - t) // m
         if not 1 <= exponent <= d:
-            raise ValueError(f"exponent {exponent} outside [1, {d}] for {spec}")
+            raise AssertionError(f"exponent {exponent} outside [1, {d}] for {spec}")
         delta[exponent] += 1
     return tuple(delta)
 

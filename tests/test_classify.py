@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from deltasimplex import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     CaseId,
     ExponentList,
@@ -149,12 +150,19 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_budget_is_the_exact_count_of_paired_lists(self, p):
+        # counted in delta entries: each paired list is a candidate of d+1 entries
         for d in range(1, 13):
             paired = sum(check_pairing(e).ok for e in self.sorted_lists(p, d))
             with pytest.raises(BudgetExceededError) as info:
                 enumerate_admissible(p, d, budget=0)
-            assert info.value.estimate == paired
-            assert len(enumerate_admissible(p, d, budget=paired)) <= paired
+            assert info.value.estimate == paired * (d + 1)
+            assert len(enumerate_admissible(p, d, budget=paired * (d + 1))) <= paired
+        # the default budget admits d up to 219 at p = 5 and 111 at p = 7
+        largest = {5: 219, 7: 111}[p]
+        for d, fits in ((largest, True), (largest + 1, False)):
+            with pytest.raises(BudgetExceededError) as info:
+                enumerate_admissible(p, d, budget=0)
+            assert (info.value.estimate <= DEFAULT_BUDGET) == fits
 
     def test_output_is_sorted_and_admissible(self):
         witnesses = enumerate_admissible(7, 5)

@@ -329,8 +329,22 @@ class TestEnumerateAndSearch:
         assert code == 3
         assert out == ""
         error = json.loads(err)["error"]
-        assert error["estimate"] == 5271062750 == 2 * comb(503, 4)
-        assert error["message"] == "estimated 5271062750 candidates exceeds budget 10"
+        assert error["estimate"] == 5276333812750 == 2 * comb(503, 4) * 1001
+        assert error["message"] == "estimated 5276333812750 candidate delta entries exceeds budget 10"
+
+    @pytest.mark.parametrize("volume, dim", [("7", "300"), ("7", "112"), ("5", "220")])
+    def test_enumerate_default_budget_bounds_the_result(self, capsys, monkeypatch, volume, dim):
+        # (7, 300) has 43 895 700 candidates of 301 entries each; it once grew past 4.9 GB,
+        # so a candidate reaching the filter ends the run here instead
+        def refuse(*args):
+            raise AssertionError("the candidate loop ran")
+
+        monkeypatch.setattr(deltasimplex.classify, "check_superadditive", refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["enumerate", "--volume", volume, "--dim", dim])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["message"].endswith("candidate delta entries exceeds budget 100000000")
 
     @pytest.mark.parametrize(
         "argv",
@@ -389,7 +403,7 @@ class TestEveryCommandBudget:
         "hnf": (["hnf", "--m", "5", "--coeffs", "0,1,1,0", "--dim", "3"], 4, "box points"),
         "check": (["check", "--delta", "1,6006"], 10, "exponents and pairs"),
         "classify": (["classify", "--delta", "1,0,4,0", "--volume", "5"], 3, "box points"),
-        "enumerate": (["enumerate", "--volume", "7", "--dim", "1000"], 10, "candidates"),
+        "enumerate": (["enumerate", "--volume", "7", "--dim", "1000"], 10, "candidate delta entries"),
         "search": (["search", "--dim", "1", "--volume", "3000000"], 10, "character values"),
         "verify": (["verify", "--simplex", "{triangle}"], 4, "box points"),
     }
@@ -504,6 +518,44 @@ class TestBoxRouteDisagreement:
         code, out, err = run(capsys, argv)
         assert (code, err) == (1, "")
         assert json.loads(out)[verdict] is False
+
+
+def _interior_off_by_one(monkeypatch):
+    real = deltasimplex.ehrhart._count_dilates
+
+    def one_more_interior_point(*args):
+        closed, interior = real(*args)
+        return closed, tuple(x + 1 for x in interior)
+
+    monkeypatch.setattr(deltasimplex.ehrhart, "_count_dilates", one_more_interior_point)
+
+
+def _overflowing_case_i(monkeypatch):
+    monkeypatch.setitem(
+        deltasimplex.classify._PATTERN_CASES[5], (4,), ("i", lambda i1, *_: (0, i1 + 5, i1 - 1, 0))
+    )
+
+
+class TestContractFault:
+    """A contract check that fails on the product path is an internal error: exit 4, one error object."""
+
+    CASES = {
+        "oracle-interior-off-by-one": (["oracle", "--simplex", "{triangle}"], _interior_off_by_one,
+                                       "reciprocity fails at (n, counted, predicted) = (1, 1, 0)"),
+        "verify-interior-off-by-one": (["verify", "--simplex", "{triangle}"], _interior_off_by_one,
+                                       "reciprocity fails at (n, counted, predicted) = (1, 1, 0)"),
+        "classify-overflowing-witness": (["classify", "--delta", "1,0,4,0", "--volume", "5"], _overflowing_case_i,
+                                         "case i gave coefficients (0, 7, 1, 0) that are negative or sum past 2"),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_exits_4(self, capsys, monkeypatch, triangle_file, name):
+        argv, fault, message = self.CASES[name]
+        fault(monkeypatch)
+        code, out, err = run(capsys, [a.format(triangle=triangle_file) for a in argv])
+        assert (code, out) == (4, "")
+        [line] = err.splitlines()
+        assert json.loads(line) == {"error": {"type": "internal-error", "message": message}}
 
 
 class TestMalformedInput:

@@ -14,7 +14,6 @@ from deltasimplex import (
     delta_from_box,
     ehrhart_delta,
     ehrhart_table,
-    reciprocity_check,
 )
 from deltasimplex.lattice import row_hermite_form
 from conftest import random_simplex
@@ -205,21 +204,22 @@ class TestTable:
 
 
 class TestReciprocity:
+    """`ehrhart_table` builds only when every interior count agrees with reciprocity."""
+
     def test_segment(self):
-        assert reciprocity_check(SEGMENT5).ok
+        assert ehrhart_table(SEGMENT5).interior_counts == (4, 9)
 
     def test_unit_simplex(self):
-        assert reciprocity_check(unit_simplex(2)).ok
+        assert ehrhart_table(unit_simplex(2)).interior_counts == (0, 0, 1)
 
     def test_triangle(self):
-        assert reciprocity_check(TRIANGLE235).ok
+        assert ehrhart_table(TRIANGLE235).delta == (1, 0, 4, 0)
 
     def test_random_simplices(self):
         rng = random.Random(14)
         for _ in range(40):
             s = random_simplex(rng, max_dim=4, max_volume=30)
-            report = reciprocity_check(s, budget=10**12)
-            assert report.ok, report.first_mismatch
+            assert ehrhart_table(s, budget=10**12).delta == delta_from_box(s)
 
     def test_miscounted_interior_is_a_mismatch(self, monkeypatch):
         predicted = ehrhart_table(TRIANGLE235).interior_counts[0]
@@ -230,6 +230,7 @@ class TestReciprocity:
             return closed, tuple(x + 1 for x in interior)
 
         monkeypatch.setattr(deltasimplex.ehrhart, "_count_dilates", one_more_interior_point)
-        report = reciprocity_check(TRIANGLE235)
-        assert report.ok is False
-        assert report.first_mismatch == (1, predicted + 1, predicted)
+        for route in (ehrhart_table, ehrhart_delta):
+            with pytest.raises(AssertionError) as info:
+                route(TRIANGLE235)
+            assert str(info.value) == f"reciprocity fails at (n, counted, predicted) = {(1, predicted + 1, predicted)}"

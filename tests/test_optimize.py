@@ -33,6 +33,17 @@ for call in ({calls},):
 
 # fault, calls that must raise, a phrase of the raising check's message
 FAULTS = {
+    "witness-coefficients-overflow": (
+        "classify._PATTERN_CASES[5][(4,)] = ('i', lambda i1, *_: (0, i1 + 5, i1 - 1, 0))",
+        "lambda: classify.witness((1, 0, 4, 0), 5), lambda: classify.enumerate_admissible(5, 3)",
+        "that are negative or sum past",
+    ),
+    "closed-form-exponent-range": (
+        "spec = classify.HNFSpec(5, (0, 0, 0, 0), 1)\n"
+        "object.__setattr__(spec, 'coeffs', (0, 4, 0, 0))  # past the sum check of HNFSpec",
+        "lambda: classify.closed_form_delta(spec)",
+        "outside [1, 1]",
+    ),
     "witness-closed-form": (
         "classify.closed_form_delta = lambda spec: (1,) * (spec.dim + 1)",
         "lambda: classify.witness((1, 0, 4, 0), 5), lambda: classify.enumerate_admissible(5, 3)",
@@ -57,8 +68,16 @@ FAULTS = {
         "ehrhart._count_dilates = lambda *args: (\n"
         "    lambda closed, interior: (closed, tuple(x + 100 for x in interior))\n"
         ")(*real(*args))",
-        "lambda: ehrhart.ehrhart_table(triangle), lambda: ehrhart.reciprocity_check(triangle)",
+        "lambda: ehrhart.ehrhart_table(triangle)",
         "exceed closed counts",
+    ),
+    "interior-off-by-one": (
+        "real = ehrhart._count_dilates\n"
+        "ehrhart._count_dilates = lambda *args: (\n"
+        "    lambda closed, interior: (closed, tuple(x + 1 for x in interior))\n"
+        ")(*real(*args))",
+        "lambda: ehrhart.ehrhart_table(triangle), lambda: ehrhart.ehrhart_delta(triangle)",
+        "reciprocity fails at (n, counted, predicted) = (1, 1, 0)",
     ),
 }
 
@@ -80,19 +99,26 @@ def test_check_raises_under_optimize(name):
     assert lines and all(phrase in line for line in lines), lines
 
 
-def test_internal_fault_exits_4_under_optimize():
+def test_internal_fault_exits_4_under_optimize(tmp_path):
     """A failed contract check is an internal error (exit 4), not a negative verdict (exit 1)."""
-    result = run_optimized(
-        "import sys\n"
-        "import deltasimplex.classify as classify\n"
-        "from deltasimplex.cli import main\n"
-        "classify.closed_form_delta = lambda spec: (1,) * (spec.dim + 1)\n"
-        "sys.exit(main(['classify', '--delta', '1,0,4,0', '--volume', '5']))\n"
-    )
-    assert result.returncode == 4, result.stderr
-    assert result.stdout == ""
-    lines = result.stderr.splitlines()
-    assert len(lines) == 1, lines
-    error = json.loads(lines[0])["error"]
-    assert error["type"] == "internal-error"
-    assert "not the requested one" in error["message"]
+    triangle = tmp_path / "triangle.json"
+    triangle.write_text('{"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 3, 5]]}')
+    for fault, argv, phrase in (
+        (FAULTS["witness-closed-form"][0], ["classify", "--delta", "1,0,4,0", "--volume", "5"], "not the requested one"),
+        (FAULTS["interior-off-by-one"][0], ["oracle", "--simplex", str(triangle)], "reciprocity fails"),
+        (FAULTS["interior-off-by-one"][0], ["verify", "--simplex", str(triangle)], "reciprocity fails"),
+    ):
+        result = run_optimized(
+            "import sys\n"
+            "import deltasimplex.classify as classify, deltasimplex.ehrhart as ehrhart\n"
+            "from deltasimplex.cli import main\n"
+            f"{fault}\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        assert result.returncode == 4, result.stderr
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, lines
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "internal-error"
+        assert phrase in error["message"]
