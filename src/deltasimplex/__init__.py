@@ -14,7 +14,6 @@ from .classify import (
     witness,
 )
 from .constraints import (
-    CheckReport,
     ExponentList,
     check_hibi,
     check_hibi_exponents,
@@ -55,7 +54,6 @@ __all__ = [
     "BoxPoint",
     "BudgetExceededError",
     "CaseId",
-    "CheckReport",
     "DEFAULT_BUDGET",
     "DegenerateSimplexError",
     "EhrhartTable",

@@ -15,7 +15,6 @@ from itertools import combinations_with_replacement, groupby, product
 from math import comb
 
 from .constraints import (
-    CheckReport,
     ExponentList,
     _validated_delta,
     check_pairing,
@@ -98,26 +97,24 @@ class Witness:
     delta: tuple[int, ...]
 
 
-def admissible(delta, p: int) -> CheckReport:
-    """Combined pairing + superadditivity verdict for volume 5 or 7.
+def admissible(delta, p: int) -> tuple:
+    """Violations of pairing + superadditivity for volume 5 or 7; empty means admissible.
 
     Superadditivity is checked on the reduced pair set, which is equivalent
     to the full set once the pairing equalities hold. Violations merge both
     sub-checks' index pairs.
     """
-    return _exponents_and_verdict(delta, p)[1]
+    return _exponents_and_violations(delta, p)[1]
 
 
-def _exponents_and_verdict(delta, p: int) -> tuple[ExponentList, CheckReport]:
-    """The exponent list of `delta`, built once, and its `admissible` verdict."""
+def _exponents_and_violations(delta, p: int) -> tuple[ExponentList, tuple]:
+    """The exponent list of `delta`, built once, and its `admissible` violations."""
     _cases(p)
     m = sum(_validated_delta(delta))  # before building the list of m - 1 exponents
     if m != p:
         raise ValueError(f"delta-vector sums to {m}, expected {p}")
     e = exponents(delta)
-    violations = check_pairing(e).violations
-    violations += check_superadditive(e, pairs=reduced_pairs(p)).violations
-    return e, CheckReport("admissible", violations)
+    return e, check_pairing(e) + check_superadditive(e, pairs=reduced_pairs(p))
 
 
 def _case(e: ExponentList):
@@ -141,9 +138,9 @@ def witness(delta, p: int) -> Witness:
     The construction self-verifies: its coefficients must be nonnegative and fit
     the carried dimension, and the closed form must reproduce the requested vector.
     """
-    e, verdict = _exponents_and_verdict(delta, p)
-    if not verdict.ok:
-        raise ValueError(f"delta-vector is not admissible: violations {verdict.violations}")
+    e, violations = _exponents_and_violations(delta, p)
+    if violations:
+        raise ValueError(f"delta-vector is not admissible: violations {violations}")
     return _witness(e)
 
 
@@ -179,7 +176,7 @@ def enumerate_admissible(p: int, d: int, budget: int = DEFAULT_BUDGET) -> list[W
     for c in range(2, d + 2):
         for lower in combinations_with_replacement(range(1, c // 2 + 1), h):
             e = ExponentList(lower + tuple(c - x for x in reversed(lower)), d)
-            if check_superadditive(e, pairs).ok:
+            if not check_superadditive(e, pairs):
                 results.append(_witness(e))
     return sorted(results, key=lambda w: w.delta)
 

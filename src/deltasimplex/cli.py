@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .box import delta_from_box, enumerate_box
-from .classify import _PATTERN_CASES, _exponents_and_verdict, _witness, enumerate_admissible
+from .classify import _PATTERN_CASES, _exponents_and_violations, _witness, enumerate_admissible
 from .constraints import _validated_delta, least_prime_divisor, run_all_checks
 from .ehrhart import ehrhart_delta, ehrhart_table
 from .groups import exhaustive_search
@@ -73,7 +73,7 @@ def _is_scalar_list(value):
 def _scalar_text(value):
     if isinstance(value, list):
         return ",".join(str(x) for x in value)
-    return str(value)
+    return "null" if value is None else str(value)
 
 
 def _emit(payload, args):
@@ -184,17 +184,17 @@ def _cmd_check(args):
     report = run_all_checks(delta)
     payload = dict(report)
     payload["checks"] = {
-        name: {"ok": r.ok, "violations": r.violations} for name, r in report["checks"].items()
+        name: {"ok": not v, "violations": v} for name, v in report["checks"].items()
     }
     return payload, report["all_pass"]
 
 
 def _cmd_classify(args):
-    e, verdict = _exponents_and_verdict(_parse_int_list(args.delta, "--delta"), args.volume)
-    if not verdict.ok:
+    e, violations = _exponents_and_violations(_parse_int_list(args.delta, "--delta"), args.volume)
+    if violations:
         return {
             "admissible": False,
-            "violations": verdict.violations,
+            "violations": violations,
             "case": None,
             "witness": None,
             "verified": False,

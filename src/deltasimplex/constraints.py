@@ -6,8 +6,8 @@ dimension d, which enters several of the bounds. Equivalently, a vector is
 the multiset of exponents i_1 <= ... <= i_{m-1} of its nonzero positions,
 with m the normalized volume.
 
-Checkers return full violation lists, not just booleans, so failures carry
-their witnesses.
+Each checker returns its violations as a tuple, empty exactly when the check
+passes, so a failure carries its witnesses.
 """
 
 from dataclasses import dataclass
@@ -83,18 +83,6 @@ def delta_from_exponents(e: ExponentList) -> tuple[int, ...]:
     return tuple(delta)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Named verdict; false exactly when the violation list is nonempty."""
-
-    name: str
-    violations: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _odd_prime(m: int, what: str) -> int:
     """m itself, after checking the odd prime volume that `what` requires."""
     if m % 2 == 0 or not is_prime(m):
@@ -102,11 +90,7 @@ def _odd_prime(m: int, what: str) -> int:
     return m
 
 
-def _report(name, violations) -> CheckReport:
-    return CheckReport(name, tuple(violations))
-
-
-def check_pairing(e: ExponentList) -> CheckReport:
+def check_pairing(e: ExponentList) -> tuple:
     """For odd prime volume: opposite exponents must share one sum, at most dim+1.
 
     Violations are index pairs (k, m-k) whose sum differs from the first
@@ -122,7 +106,7 @@ def check_pairing(e: ExponentList) -> CheckReport:
             violations.append((k, m - k))
     if not violations and constant > e.dim + 1:
         violations.append((1, m - 1))
-    return _report("pairing", violations)
+    return tuple(violations)
 
 
 def _pairs_below(g: int):
@@ -130,13 +114,13 @@ def _pairs_below(g: int):
     return ((k, l) for k in range(1, g) for l in range(k, g - k))
 
 
-def _superadditive(e: ExponentList, pairs, name: str) -> CheckReport:
+def _superadditive(e: ExponentList, pairs) -> tuple:
     """i_k + i_l >= i_{k+l} over `pairs`; the violations are the failing pairs, in order."""
     vals = e.values
-    return _report(name, [(k, l) for k, l in pairs if vals[k - 1] + vals[l - 1] < vals[k + l - 1]])
+    return tuple((k, l) for k, l in pairs if vals[k - 1] + vals[l - 1] < vals[k + l - 1])
 
 
-def check_superadditive(e: ExponentList, pairs=None) -> CheckReport:
+def check_superadditive(e: ExponentList, pairs=None) -> tuple:
     """For odd prime volume: i_k + i_l >= i_{k+l} whenever k <= l and k+l <= m-1.
 
     An explicit `pairs` iterable restricts the check (used with
@@ -145,7 +129,7 @@ def check_superadditive(e: ExponentList, pairs=None) -> CheckReport:
     m = _odd_prime(e.m, "superadditivity check")
     if pairs is None:
         pairs = _pairs_below(m)
-    return _superadditive(e, pairs, "superadditive")
+    return _superadditive(e, pairs)
 
 
 def reduced_pairs(p: int) -> tuple[tuple[int, int], ...]:
@@ -158,47 +142,43 @@ def reduced_pairs(p: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def check_stanley(delta) -> CheckReport:
+def check_stanley(delta) -> tuple:
     """Cumulative lower bound: the first i+1 entries never outweigh the last i+1
     nonzero-leading ones, for i up to half the degree."""
     entries = _validated_delta(delta)
     s = max(i for i, x in enumerate(entries) if x != 0)
     total = list(accumulate(entries, initial=0))  # total[k] = sum(entries[:k])
-    violations = [i for i in range(s // 2 + 1) if total[i + 1] > total[s + 1] - total[s - i]]
-    return _report("stanley", violations)
+    return tuple(i for i in range(s // 2 + 1) if total[i + 1] > total[s + 1] - total[s - i])
 
 
-def check_hibi(delta) -> CheckReport:
+def check_hibi(delta) -> tuple:
     """Tail bound: the top i+1 entries never outweigh entries 1..i+1,
     for i up to half of d-1."""
     entries = _validated_delta(delta)
     d = len(entries) - 1
     total = list(accumulate(entries, initial=0))  # total[k] = sum(entries[:k])
-    violations = [
+    return tuple(
         i for i in range((d - 1) // 2 + 1) if total[d + 1] - total[d - i] > total[i + 2] - total[1]
-    ]
-    return _report("hibi", violations)
+    )
 
 
-def check_stanley_exponents(e: ExponentList) -> CheckReport:
+def check_stanley_exponents(e: ExponentList) -> tuple:
     """Exponent form of the cumulative lower bound: i_j + i_{m-j-1} >= i_{m-1}."""
     vals = e.values
     m = e.m
     top = vals[m - 2] if m >= 2 else 0
-    violations = [j for j in range(1, m - 1) if vals[j - 1] + vals[m - j - 2] < top]
-    return _report("stanley_exponents", violations)
+    return tuple(j for j in range(1, m - 1) if vals[j - 1] + vals[m - j - 2] < top)
 
 
-def check_hibi_exponents(e: ExponentList) -> CheckReport:
+def check_hibi_exponents(e: ExponentList) -> tuple:
     """Exponent form of the tail bound: i_j + i_{m-j} <= dim + 1."""
     vals = e.values
     m = e.m
     bound = e.dim + 1
-    violations = [j for j in range(1, m) if vals[j - 1] + vals[m - j - 1] > bound]
-    return _report("hibi_exponents", violations)
+    return tuple(j for j in range(1, m) if vals[j - 1] + vals[m - j - 1] > bound)
 
 
-def check_nonprime(e: ExponentList) -> CheckReport:
+def check_nonprime(e: ExponentList) -> tuple:
     """For composite volume: superadditivity restricted below the least prime divisor.
 
     With g the least prime divisor of m, checks i_k + i_l >= i_{k+l} for
@@ -207,11 +187,11 @@ def check_nonprime(e: ExponentList) -> CheckReport:
     m = e.m
     if is_prime(m):
         raise ValueError(f"volume {m} is prime; use the full superadditivity check")
-    return _superadditive(e, _pairs_below(least_prime_divisor(m)), "nonprime")
+    return _superadditive(e, _pairs_below(least_prime_divisor(m)))
 
 
 def run_all_checks(delta) -> dict:
-    """Every checker applicable to the vector's volume, as an ordered report dict."""
+    """Every checker applicable to the vector's volume, each mapped to its violations, in a report dict."""
     entries = _validated_delta(delta)
     e = exponents(entries)
     m = e.m
@@ -232,5 +212,5 @@ def run_all_checks(delta) -> dict:
         "volume": m,
         "exponents": list(e.values),
         "checks": checks,
-        "all_pass": all(r.ok for r in checks.values()),
+        "all_pass": not any(checks.values()),
     }

@@ -2,9 +2,9 @@
 
 This is the independent ground truth for delta-vectors: count points of the
 dilates, extract the delta-vector by the alternating binomial transform, and
-check every interior count against it by reciprocity. One walk of the largest
-dilate asked for gives the closed and interior counts of every smaller one.
-Nothing here shares code with the parallelepiped-group path.
+check every closed and interior count against it, the latter by reciprocity.
+One walk of the largest dilate asked for gives the closed and interior counts
+of every smaller one. Nothing here shares code with the parallelepiped-group path.
 """
 
 from dataclasses import dataclass, field
@@ -82,21 +82,25 @@ def _count_dilates(s, dilates, budget):
     )
 
 
-def _delta_from_counts(counts, interior, volume: int) -> tuple[int, ...]:
-    """Delta-vector from the closed counts of dilates 0..d, checked against the interior counts.
+def _delta_from_counts(s: Simplex, counts, interior) -> tuple[int, ...]:
+    """Delta-vector from the closed counts of dilates 0..d, checked against every count.
 
-    The alternating binomial transform gives the delta-vector. Reciprocity then
-    predicts the interior count of dilate n = 1, 2, ... as sum_i delta_i C(n + i - 1, d),
-    the negated closed polynomial (-1)^d L(-n); a disagreement names (n, counted, predicted).
+    The alternating binomial transform gives the delta-vector. It predicts the closed
+    count of dilate n = 1, 2, ... as L(n) = sum_i delta_i C(n - i + d, d), a check
+    only counts past d can fail, and by reciprocity the interior count as (-1)^d L(-n) =
+    sum_i delta_i C(n + i - 1, d); a disagreement names (n, counted, predicted).
     """
-    d = len(counts) - 1
+    d = s.dim
     delta = tuple(
         sum((-1) ** j * comb(d + 1, j) * counts[i - j] for j in range(i + 1))
         for i in range(d + 1)
     )
-    if delta[0] != 1 or min(delta) < 0 or sum(delta) != volume:
-        raise AssertionError(f"dilate counts give delta-vector {delta}, volume {volume}")
-    for n, counted in enumerate(interior, start=1):
+    if delta[0] != 1 or min(delta) < 0 or sum(delta) != s.normalized_volume:
+        raise AssertionError(f"dilate counts give delta-vector {delta}, volume {s.normalized_volume}")
+    for n, (closed, counted) in enumerate(zip(counts[1:], interior), start=1):
+        predicted = sum(x * comb(n - i + d, d) for i, x in enumerate(delta))
+        if closed != predicted:
+            raise AssertionError(f"closed count fails at (n, counted, predicted) = {(n, closed, predicted)}")
         predicted = sum(x * comb(n + i - 1, d) for i, x in enumerate(delta))
         if counted != predicted:
             raise AssertionError(f"reciprocity fails at (n, counted, predicted) = {(n, counted, predicted)}")
@@ -117,13 +121,9 @@ class EhrhartTable:
         counts, interior = self.counts, self.interior_counts
         if len(counts) != d + 2 or len(interior) != d + 1:
             raise AssertionError(f"{d}-simplex table of lengths {len(counts)}, {len(interior)}")
-        if counts[0] != 1:
-            raise AssertionError(f"the 0-th dilate counts {counts[0]} points, not 1")
-        if any(counts[i] >= counts[i + 1] for i in range(d + 1)):
-            raise AssertionError(f"closed counts {counts} do not increase")
         if any(interior[i] > counts[i + 1] for i in range(d + 1)):
             raise AssertionError(f"interior counts {interior} exceed closed counts {counts[1:]}")
-        delta = _delta_from_counts(counts[: d + 1], interior, self.simplex.normalized_volume)
+        delta = _delta_from_counts(self.simplex, counts, interior)
         object.__setattr__(self, "delta", delta)
 
 
@@ -136,4 +136,4 @@ def ehrhart_table(s: Simplex, budget: int = DEFAULT_BUDGET) -> EhrhartTable:
 def ehrhart_delta(s: Simplex, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
     """Delta-vector from dilate counts via the alternating binomial transform, checked by reciprocity."""
     closed, interior = _count_dilates(s, range(1, s.dim + 1), budget)
-    return _delta_from_counts((1,) + closed, interior, s.normalized_volume)
+    return _delta_from_counts(s, (1,) + closed, interior)

@@ -122,14 +122,14 @@ def test_criterion_5_witness_soundness():
 
 def test_criterion_6_negative_vectors():
     report = admissible((1, 0, 2, 0, 1, 1, 0, 2, 0), 7)
-    assert not report.ok and report.violations == ((2, 2),)
+    assert report == ((2, 2),)
     for p, ell in ((7, 2), (11, 2), (11, 3), (13, 2)):
         delta = counterexample_family(p, ell)
         e = exponents(delta)
-        assert check_pairing(e).ok
-        assert check_stanley_exponents(e).ok
-        assert check_hibi_exponents(e).ok
-        assert not check_superadditive(e).ok
+        assert not check_pairing(e)
+        assert not check_stanley_exponents(e)
+        assert not check_hibi_exponents(e)
+        assert check_superadditive(e)
     print("PASS criterion 6: known impossible vectors rejected exactly as predicted")
 
 
@@ -146,8 +146,8 @@ def test_criterion_7_prime_volume_properties():
         for g in group:
             delta[g.degree] += 1
         e = exponents(delta)
-        assert check_pairing(e).ok, s
-        assert check_superadditive(e).ok, s
+        assert not check_pairing(e), s
+        assert not check_superadditive(e), s
         constant = e.values[0] + e.values[-1]
         assert constant <= s.dim + 1
         for g in group:
@@ -164,8 +164,8 @@ def test_criterion_8_exponent_form_equivalences():
         m = rng.randint(1, 12)
         e = ExponentList(tuple(sorted(rng.randint(1, d) for _ in range(m - 1))), d)
         delta = delta_from_exponents(e)
-        assert check_stanley_exponents(e).ok == check_stanley(delta).ok, delta
-        assert check_hibi_exponents(e).ok == check_hibi(delta).ok, delta
+        assert bool(check_stanley_exponents(e)) == bool(check_stanley(delta)), delta
+        assert bool(check_hibi_exponents(e)) == bool(check_hibi(delta)), delta
     print("PASS criterion 8: exponent-form checks match cumulative-form checks "
           "on 10000 random vectors")
 

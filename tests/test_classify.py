@@ -30,15 +30,15 @@ from deltasimplex import (
 
 class TestAdmissible:
     def test_single_block_is_admissible(self):
-        assert admissible((1, 0, 4, 0), 5).ok
+        assert not admissible((1, 0, 4, 0), 5)
 
     def test_remark_vector_rejected_with_witness_pair(self):
         report = admissible((1, 0, 2, 0, 1, 1, 0, 2, 0), 7)
-        assert not report.ok
-        assert report.violations == ((2, 2),)
+        assert report
+        assert report == ((2, 2),)
 
     def test_two_block_admissible(self):
-        assert admissible((1, 2, 2), 5).ok
+        assert not admissible((1, 2, 2), 5)
 
     def test_wrong_sum_is_an_error(self):
         with pytest.raises(ValueError):
@@ -145,14 +145,14 @@ class TestEnumerate:
     def test_equals_brute_force_filter(self, p):
         for d in range(1, 13):
             deltas = [delta_from_exponents(e) for e in self.sorted_lists(p, d)]
-            expected = sorted(delta for delta in deltas if admissible(delta, p).ok)
+            expected = sorted(delta for delta in deltas if not admissible(delta, p))
             assert [w.delta for w in enumerate_admissible(p, d)] == expected
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_budget_is_the_exact_count_of_paired_lists(self, p):
         # counted in delta entries: each paired list is a candidate of d+1 entries
         for d in range(1, 13):
-            paired = sum(check_pairing(e).ok for e in self.sorted_lists(p, d))
+            paired = sum(not check_pairing(e) for e in self.sorted_lists(p, d))
             with pytest.raises(BudgetExceededError) as info:
                 enumerate_admissible(p, d, budget=0)
             assert info.value.estimate == paired * (d + 1)
@@ -169,7 +169,7 @@ class TestEnumerate:
         deltas = [w.delta for w in witnesses]
         assert deltas == sorted(deltas)
         for w in witnesses:
-            assert admissible(w.delta, 7).ok
+            assert not admissible(w.delta, 7)
 
 
 class TestCounterexampleFamily:
@@ -195,8 +195,8 @@ class TestCounterexampleFamily:
         delta = counterexample_family(p, ell)
         assert sum(delta) == p and len(delta) == p - 2 * ell + 6
         e = exponents(delta)
-        assert check_pairing(e).ok
-        assert not check_superadditive(e).ok
+        assert not check_pairing(e)
+        assert check_superadditive(e)
 
 
 class TestExhaustiveSearch:
@@ -253,11 +253,11 @@ class TestInteriorPointLimit:
         for p in range(5, 98, 2):
             if is_prime(p):
                 e = exponents((1, 1, p - 3, 1))
-                assert check_pairing(e).ok
-                assert check_superadditive(e).ok
+                assert not check_pairing(e)
+                assert not check_superadditive(e)
 
-    @pytest.mark.parametrize("p", [5, 7, 11])
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
     def test_small_primes_are_still_realizable(self, p):
-        # ground truth from the exhaustive search: realizability only breaks
-        # down for larger primes than these
+        # ground truth from the exhaustive search: realizability breaks down
+        # at p = 23 (tests/test_groups.py, UNREALIZED)
         assert (1, 1, p - 3, 1) in exhaustive_search(3, p)

@@ -618,6 +618,15 @@ class TestOutputModes:
             f"-\n  coeffs: {k}/5,{(5 - k) % 5}/5\n  degree: {int(k > 0)}\n" for k in range(5)
         )
 
+    def test_text_mode_prints_json_null_as_null(self, capsys):
+        code, out, _ = run(capsys, ["--output", "text", "classify", "--delta", "1,0,4,0", "--volume", "5"])
+        assert code == 0
+        assert "  branch: null\n" in out
+        code, out, _ = run(capsys, ["--output", "text", "classify", "--delta", "1,0,2,0,1,1,0,2,0", "--volume", "7"])
+        assert code == 1
+        assert "case: null\nwitness: null\nverified: False\n" in out
+        assert "None" not in out
+
     def test_text_mode_after_subcommand(self, capsys, segment_file):
         code, out, _ = run(capsys, ["delta", "--simplex", segment_file, "--output", "text"])
         assert code == 0

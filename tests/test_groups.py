@@ -17,8 +17,9 @@ SEARCHED = [
     (3, 8), (3, 11), (3, 30), (4, 5), (4, 6), (3, 9), (3, 12), (5, 5),
     (3, 16), (2, 24), (3, 24), (4, 8), (5, 7), (4, 11), (3, 36), (4, 16), (2, 1), (3, 1),
 ]
-# (1, 1, 1, p-5, 1, 1) at p = 11, 13: pairing and superadditivity admit them, no simplex realizes them
-UNREALIZED = [(1, 1, 1, 6, 1, 1), (1, 1, 1, 8, 1, 1)]
+# (1, 1, 1, p-5, 1, 1) at p = 11, 13 and (1, 1, p-3, 1) at p = 23: pairing and superadditivity
+# admit them, no simplex realizes them
+UNREALIZED = [(1, 1, 1, 6, 1, 1), (1, 1, 1, 8, 1, 1), (1, 1, 20, 1)]
 # (d, vol, budget) refused before any character value is computed
 REFUSED = [(5, 11, 100), (6, 13, 10), (30, 2**6, 10**8), (1, 3000000, 10)]
 
@@ -76,7 +77,7 @@ def test_huge_volume_is_refused_before_it_is_factored(capsys):
     assert str(comb(10**30 + 1, 2) * 3 * 10**30 + 2 * 10**60) in captured.err
 
 
-@pytest.mark.parametrize("delta", UNREALIZED, ids=["p11", "p13"])
+@pytest.mark.parametrize("delta", UNREALIZED, ids=["p11", "p13", "p23"])
 def test_admitted_but_unrealized(capsys, delta):
     """`check` passes these vectors (exit 0 is not "realizable"), yet the sweep never finds them."""
     assert run_all_checks(delta)["all_pass"]

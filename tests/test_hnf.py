@@ -131,7 +131,7 @@ class TestNonprimeFamily:
         # the first superadditivity constraint at index g fails
         assert vals[0] + vals[g - 2] < vals[g - 1]
         # but the restricted composite-volume constraints hold
-        assert check_nonprime(e).ok
+        assert not check_nonprime(e)
 
 
 def _random_spec(rng):

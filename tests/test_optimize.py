@@ -71,6 +71,14 @@ FAULTS = {
         "lambda: ehrhart.ehrhart_table(triangle)",
         "exceed closed counts",
     ),
+    "closed-count-off-by-one": (
+        "real = ehrhart._count_dilates\n"
+        "ehrhart._count_dilates = lambda *args: (\n"
+        "    lambda closed, interior: (closed[:-1] + (closed[-1] + 1,), interior)\n"
+        ")(*real(*args))",
+        "lambda: ehrhart.ehrhart_table(triangle)",
+        "closed count fails at (n, counted, predicted) = (3, 11, 10)",
+    ),
     "interior-off-by-one": (
         "real = ehrhart._count_dilates\n"
         "ehrhart._count_dilates = lambda *args: (\n"
@@ -106,6 +114,7 @@ def test_internal_fault_exits_4_under_optimize(tmp_path):
     for fault, argv, phrase in (
         (FAULTS["witness-closed-form"][0], ["classify", "--delta", "1,0,4,0", "--volume", "5"], "not the requested one"),
         (FAULTS["interior-off-by-one"][0], ["oracle", "--simplex", str(triangle)], "reciprocity fails"),
+        (FAULTS["closed-count-off-by-one"][0], ["oracle", "--simplex", str(triangle)], "closed count fails"),
         (FAULTS["interior-off-by-one"][0], ["verify", "--simplex", str(triangle)], "reciprocity fails"),
     ):
         result = run_optimized(
