@@ -16,6 +16,7 @@ from math import comb
 
 from .constraints import (
     ExponentList,
+    _superadditive,
     _validated_delta,
     check_pairing,
     check_superadditive,
@@ -160,9 +161,10 @@ def _witness(e: ExponentList) -> Witness:
 def enumerate_admissible(p: int, d: int, budget: int = DEFAULT_BUDGET) -> list[Witness]:
     """All admissible delta-vectors with volume p and dimension d, each with a witness.
 
-    Visits only the lists the pairing allows, each checked once for superadditivity: per pair
-    sum c in [2, d+1], h = (p-1)/2 sorted values from [1, c//2], then c minus them reversed.
-    The budget bounds what the result can hold: their number, C(k-1+h, h) for each of
+    Visits only the lists the pairing allows: per pair sum c in [2, d+1], h = (p-1)/2 sorted
+    values from [1, c//2], then c minus them reversed. Each is tested for superadditivity as
+    a plain tuple; only a list that passes becomes an `ExponentList` and gets a witness.
+    The budget bounds what the result can hold: the number of lists, C(k-1+h, h) for each of
     c = 2k and 2k+1 summed over k, times the d+1 entries of each delta-vector.
     """
     _cases(p)
@@ -175,9 +177,9 @@ def enumerate_admissible(p: int, d: int, budget: int = DEFAULT_BUDGET) -> list[W
     results = []
     for c in range(2, d + 2):
         for lower in combinations_with_replacement(range(1, c // 2 + 1), h):
-            e = ExponentList(lower + tuple(c - x for x in reversed(lower)), d)
-            if not check_superadditive(e, pairs):
-                results.append(_witness(e))
+            values = lower + tuple([c - x for x in reversed(lower)])
+            if not _superadditive(values, pairs):
+                results.append(_witness(ExponentList(values, d)))
     return sorted(results, key=lambda w: w.delta)
 
 

@@ -10,7 +10,6 @@ command line or as string coordinates in a simplex file, read -?[0-9]+.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -44,8 +43,16 @@ def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        # plain ints in range, such as a delta-vector, pass in one step; bools take the path below
+        if set(map(type, obj)) == {int} and -_JSON_INT_LIMIT < min(obj) and max(obj) < _JSON_INT_LIMIT:
+            return list(obj)
         return [_jsonable(x) for x in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _spec_fields(spec: HNFSpec) -> dict:
+    """An `HNFSpec` as the JSON object {"m", "coeffs", "dim"}."""
+    return {"m": spec.m, "coeffs": spec.coeffs, "dim": spec.dim}
 
 
 def _text_lines(obj, indent=0):
@@ -71,9 +78,10 @@ def _is_scalar_list(value):
 
 
 def _scalar_text(value):
+    """A scalar or a list of scalars as text; null, true and false are spelled as in JSON."""
     if isinstance(value, list):
-        return ",".join(str(x) for x in value)
-    return "null" if value is None else str(value)
+        return ",".join(map(_scalar_text, value))
+    return json.dumps(value) if value is None or isinstance(value, bool) else str(value)
 
 
 def _emit(payload, args):
@@ -168,7 +176,7 @@ def _cmd_hnf(args):
     via_box = delta_from_box(simplex)
     agree = closed == via_box
     return {
-        "spec": dataclasses.asdict(spec),
+        "spec": _spec_fields(spec),
         "simplex": {"vertices": simplex.vertices},
         "delta_closed_form": closed,
         "delta_box": via_box,
@@ -204,7 +212,7 @@ def _cmd_classify(args):
     return {
         "admissible": True,
         "case": {"label": found.case.label, "branch": found.case.branch},
-        "witness": dataclasses.asdict(found.spec),
+        "witness": _spec_fields(found.spec),
         "verified": verified,
     }, verified
 
@@ -219,7 +227,7 @@ def _cmd_enumerate(args):
             {
                 "delta": w.delta,
                 "case": w.case.label,
-                "witness": dataclasses.asdict(w.spec),
+                "witness": _spec_fields(w.spec),
             }
             for w in witnesses
         ],

@@ -114,9 +114,12 @@ def _pairs_below(g: int):
     return ((k, l) for k in range(1, g) for l in range(k, g - k))
 
 
-def _superadditive(e: ExponentList, pairs) -> tuple:
-    """i_k + i_l >= i_{k+l} over `pairs`; the violations are the failing pairs, in order."""
-    vals = e.values
+def _superadditive(vals, pairs) -> tuple:
+    """i_k + i_l >= i_{k+l} over `pairs`; the violations are the failing pairs, in order.
+
+    Takes the sorted exponents as a plain tuple, so that `enumerate_admissible`
+    tests a candidate before it builds the candidate's `ExponentList`.
+    """
     return tuple((k, l) for k, l in pairs if vals[k - 1] + vals[l - 1] < vals[k + l - 1])
 
 
@@ -129,7 +132,7 @@ def check_superadditive(e: ExponentList, pairs=None) -> tuple:
     m = _odd_prime(e.m, "superadditivity check")
     if pairs is None:
         pairs = _pairs_below(m)
-    return _superadditive(e, pairs)
+    return _superadditive(e.values, pairs)
 
 
 def reduced_pairs(p: int) -> tuple[tuple[int, int], ...]:
@@ -187,7 +190,7 @@ def check_nonprime(e: ExponentList) -> tuple:
     m = e.m
     if is_prime(m):
         raise ValueError(f"volume {m} is prime; use the full superadditivity check")
-    return _superadditive(e, _pairs_below(least_prime_divisor(m)))
+    return _superadditive(e.values, _pairs_below(least_prime_divisor(m)))
 
 
 def run_all_checks(delta) -> dict:

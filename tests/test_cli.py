@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -17,7 +18,7 @@ import deltasimplex.constraints
 import deltasimplex.ehrhart
 from conftest import random_simplex
 from deltasimplex import delta_from_box
-from deltasimplex.cli import main
+from deltasimplex.cli import _jsonable, main
 
 
 @pytest.fixture
@@ -339,7 +340,7 @@ class TestEnumerateAndSearch:
         def refuse(*args):
             raise AssertionError("the candidate loop ran")
 
-        monkeypatch.setattr(deltasimplex.classify, "check_superadditive", refuse)
+        monkeypatch.setattr(deltasimplex.classify, "_superadditive", refuse)
         start = time.perf_counter()
         code, out, err = run(capsys, ["enumerate", "--volume", volume, "--dim", dim])
         assert time.perf_counter() - start < 1.0
@@ -609,7 +610,8 @@ class TestOutputModes:
             capsys, ["--output", "text", "check", "--delta", "1,0,4,0"]
         )
         assert code == 0
-        assert "all_pass: True" in out
+        assert "all_pass: true" in out  # JSON's spelling of a boolean, not Python's
+        assert "True" not in out
 
     def test_box_text_mode(self, capsys, segment_file):
         code, out, _ = run(capsys, ["--output", "text", "box", "--simplex", segment_file])
@@ -624,13 +626,73 @@ class TestOutputModes:
         assert "  branch: null\n" in out
         code, out, _ = run(capsys, ["--output", "text", "classify", "--delta", "1,0,2,0,1,1,0,2,0", "--volume", "7"])
         assert code == 1
-        assert "case: null\nwitness: null\nverified: False\n" in out
+        assert "case: null\nwitness: null\nverified: false\n" in out
         assert "None" not in out
 
     def test_text_mode_after_subcommand(self, capsys, segment_file):
         code, out, _ = run(capsys, ["delta", "--simplex", segment_file, "--output", "text"])
         assert code == 0
         assert out.strip() == "- 1\n- 4"
+
+
+class TestJsonable:
+    LIMIT = 2**53
+
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_ints_inside_2_53_stay_ints(self, kind):
+        out = _jsonable(kind([1 - self.LIMIT, 0, self.LIMIT - 1]))
+        assert out == [1 - self.LIMIT, 0, self.LIMIT - 1]
+        assert json.dumps(out) == "[-9007199254740991, 0, 9007199254740991]"
+
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_ints_from_2_53_become_strings(self, kind):
+        assert _jsonable(kind([-self.LIMIT, 0, self.LIMIT])) == ["-9007199254740992", 0, "9007199254740992"]
+
+    def test_bools_stay_bools(self):
+        assert json.dumps(_jsonable([True, 0])) == "[true, 0]"
+
+    def test_empty_tuple(self):
+        assert _jsonable(()) == []
+
+    def test_tuple_nested_in_a_list(self):
+        assert _jsonable([(1, 2), (self.LIMIT,), ()]) == [[1, 2], ["9007199254740992"], []]
+
+    def test_int_dict_key(self):
+        assert json.dumps(_jsonable({3: (1, 2)})) == '{"3": [1, 2]}'
+
+
+def _reference_jsonable(obj):
+    """`_jsonable` without its one-step path for int lists: one call per item."""
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (str, float)):
+        return obj
+    if isinstance(obj, int):
+        return obj if abs(obj) < 2**53 else str(obj)
+    if isinstance(obj, dict):
+        return {str(k): _reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_jsonable(x) for x in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--volume", "5", "--dim", "30"],
+        ["enumerate", "--volume", "7", "--dim", "20"],
+        ["hnf", "--m", "7", "--coeffs", "1,0,0,0,0,1", "--dim", "4"],
+        ["classify", "--delta", "1,0,4,0", "--volume", "5"],
+        ["classify", "--delta", "1,0,2,0,1,1,0,2,0", "--volume", "7"],
+    ],
+)
+def test_emit_matches_the_reference_path(capsys, monkeypatch, argv, output):
+    """Specs built by `_spec_fields` and flat int lists made JSON-safe in one step print the same bytes
+    as `dataclasses.asdict` and a per-item `_jsonable`."""
+    argv = ["--output", output] + argv
+    emitted = run(capsys, argv)
+    monkeypatch.setattr(deltasimplex.cli, "_spec_fields", dataclasses.asdict)
+    monkeypatch.setattr(deltasimplex.cli, "_jsonable", _reference_jsonable)
+    assert run(capsys, argv) == emitted
 
 
 def test_readme_cli_block(capsys, monkeypatch, tmp_path, segment_file, triangle_file):
