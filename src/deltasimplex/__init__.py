@@ -17,7 +17,6 @@ from .constraints import (
     ExponentList,
     check_hibi,
     check_hibi_exponents,
-    check_nonprime,
     check_pairing,
     check_stanley,
     check_stanley_exponents,
@@ -69,7 +68,6 @@ __all__ = [
     "cell_estimate",
     "check_hibi",
     "check_hibi_exponents",
-    "check_nonprime",
     "check_pairing",
     "check_stanley",
     "check_stanley_exponents",

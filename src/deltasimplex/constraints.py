@@ -18,7 +18,7 @@ from .lattice import _as_int
 
 def least_prime_divisor(m: int) -> int:
     """Smallest prime dividing m (trial division)."""
-    if m < 2:
+    if _as_int(m) < 2:
         raise ValueError("need an integer >= 2")
     f = 2
     while f * f <= m:
@@ -29,7 +29,7 @@ def least_prime_divisor(m: int) -> int:
 
 
 def is_prime(m: int) -> bool:
-    return m >= 2 and least_prime_divisor(m) == m
+    return _as_int(m) >= 2 and least_prime_divisor(m) == m
 
 
 @dataclass(frozen=True)
@@ -124,14 +124,15 @@ def _superadditive(vals, pairs) -> tuple:
 
 
 def check_superadditive(e: ExponentList, pairs=None) -> tuple:
-    """For odd prime volume: i_k + i_l >= i_{k+l} whenever k <= l and k+l <= m-1.
+    """i_k + i_l >= i_{k+l} whenever k <= l and k+l <= g-1, g the least prime divisor of m.
 
-    An explicit `pairs` iterable restricts the check (used with
-    `reduced_pairs`, which is equivalent once the pairing equalities hold).
+    At prime volume g is m itself, so every pair is checked; at even volume
+    the check is vacuous. An explicit `pairs` iterable restricts the check
+    (used with `reduced_pairs`, which is equivalent once the pairing
+    equalities hold).
     """
-    m = _odd_prime(e.m, "superadditivity check")
     if pairs is None:
-        pairs = _pairs_below(m)
+        pairs = _pairs_below(least_prime_divisor(e.m))
     return _superadditive(e.values, pairs)
 
 
@@ -181,18 +182,6 @@ def check_hibi_exponents(e: ExponentList) -> tuple:
     return tuple(j for j in range(1, m) if vals[j - 1] + vals[m - j - 1] > bound)
 
 
-def check_nonprime(e: ExponentList) -> tuple:
-    """For composite volume: superadditivity restricted below the least prime divisor.
-
-    With g the least prime divisor of m, checks i_k + i_l >= i_{k+l} for
-    k <= l and k + l <= g - 1 (vacuous when g = 2).
-    """
-    m = e.m
-    if is_prime(m):
-        raise ValueError(f"volume {m} is prime; use the full superadditivity check")
-    return _superadditive(e.values, _pairs_below(least_prime_divisor(m)))
-
-
 def run_all_checks(delta) -> dict:
     """Every checker applicable to the vector's volume, each mapped to its violations, in a report dict."""
     entries = _validated_delta(delta)
@@ -204,11 +193,11 @@ def run_all_checks(delta) -> dict:
         "stanley_exponents": check_stanley_exponents(e),
         "hibi_exponents": check_hibi_exponents(e),
     }
-    if m >= 3 and is_prime(m):
-        checks["pairing"] = check_pairing(e)
-        checks["superadditive"] = check_superadditive(e)
-    elif m >= 4:
-        checks["nonprime"] = check_nonprime(e)
+    if m >= 3:
+        prime = is_prime(m)
+        if prime:
+            checks["pairing"] = check_pairing(e)
+        checks["superadditive" if prime else "nonprime"] = check_superadditive(e)
     return {
         "delta": list(entries),
         "dim": e.dim,

@@ -10,8 +10,7 @@ def pytest_configure(config):
         raise pytest.UsageError(
             "python -O strips the asserts of every test, so this run would check nothing. "
             "Run the suite without -O; the -O behaviour of the package's checks is tested "
-            "in python -O subprocesses by tests/test_optimize.py and "
-            "tests/test_box.py::TestBrokenSNF::test_raises_under_optimize."
+            "in python -O subprocesses by tests/test_optimize.py."
         )
 
 

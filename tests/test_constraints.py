@@ -11,7 +11,6 @@ from deltasimplex import (
     admissible,
     check_hibi,
     check_hibi_exponents,
-    check_nonprime,
     check_pairing,
     check_stanley,
     check_stanley_exponents,
@@ -104,12 +103,18 @@ class TestExponents:
         lambda: enumerate_admissible(5.0, 3),
         lambda: enumerate_admissible(5, 3.0),
         lambda: admissible((1, 0, 4, 0), 5.0),
+        lambda: is_prime(2.5),
+        lambda: is_prime("7"),
+        lambda: is_prime(True),
+        lambda: least_prime_divisor(2.5),
+        lambda: least_prime_divisor("7"),
     ],
     ids=[
         "witness-float", "checks-float", "exponents-str", "exponents-bool", "exponent-dim-float",
         "spec-coeff-float", "spec-m-float", "spec-dim-float", "spec-m-bool", "search-dim-bool",
         "search-dim-float", "search-volume-float", "count-dilate-bool", "enumerate-volume-float",
-        "enumerate-dim-float", "admissible-volume-float",
+        "enumerate-dim-float", "admissible-volume-float", "is-prime-float", "is-prime-str",
+        "is-prime-bool", "least-prime-divisor-float", "least-prime-divisor-str",
     ],
 )
 def test_library_inputs_are_integers_only(call):
@@ -170,9 +175,22 @@ class TestSuperadditive:
     def test_flat_case(self):
         assert not check_superadditive(ExponentList((2, 2, 2, 2), 3))
 
-    def test_requires_odd_prime(self):
-        with pytest.raises(ValueError):
-            check_superadditive(ExponentList((1, 1, 1), 4))
+    def test_composite_volume_stops_below_least_prime_divisor(self):
+        # volume 9, g = 3: only (1, 1) is checked, though (1, 2) fails too
+        assert check_superadditive(ExponentList((1, 3, 3, 3, 3, 3, 3, 3), 4)) == ((1, 1),)
+
+    @settings(max_examples=300, deadline=None)
+    @given(exponent_lists(max_m=40, min_m=2))
+    def test_equals_brute_force_below_least_prime_divisor(self, e):
+        m, vals = e.m, e.values
+        g = next(f for f in range(2, m + 1) if m % f == 0)
+        expected = tuple(
+            (k, l)
+            for k in range(1, g)
+            for l in range(k, g)
+            if k + l < g and vals[k - 1] + vals[l - 1] < vals[k + l - 1]
+        )
+        assert check_superadditive(e) == expected
 
 
 class TestReducedPairs:
@@ -269,21 +287,21 @@ class TestCumulativeChecks:
 
 class TestNonprime:
     def test_vacuous_for_even_volume(self):
-        assert not check_nonprime(ExponentList((1, 2, 3), 4))
+        assert not check_superadditive(ExponentList((1, 2, 3), 4))
 
     def test_single_pair_for_nine(self):
         bad = ExponentList((1, 3, 3, 3, 3, 3, 3, 3), 4)
-        report = check_nonprime(bad)
+        report = check_superadditive(bad)
         assert report == ((1, 1),)
         good = ExponentList((2, 3, 3, 3, 3, 3, 3, 3), 4)
-        assert not check_nonprime(good)
+        assert not check_superadditive(good)
 
     def test_family_exponents_pass(self):
-        assert not check_nonprime(ExponentList((1, 3, 3, 5, 5), 7))
+        assert not check_superadditive(ExponentList((1, 3, 3, 5, 5), 7))
 
-    def test_rejects_prime_volume(self):
-        with pytest.raises(ValueError):
-            check_nonprime(ExponentList((1, 2, 2, 4), 4))
+    def test_prime_volume_checks_every_pair(self):
+        # volume 5: (1, 3) reaches index 4 = m - 1
+        assert check_superadditive(ExponentList((1, 2, 2, 4), 4)) == ((1, 3),)
 
 
 class TestRunAllChecks:

@@ -6,11 +6,11 @@ from deltasimplex import (
     HNFSpec,
     Simplex,
     build_simplex,
+    check_superadditive,
     closed_form_delta,
     delta_from_box,
     ehrhart_delta,
     exponents,
-    check_nonprime,
     least_prime_divisor,
     nonprime_family,
 )
@@ -131,7 +131,7 @@ class TestNonprimeFamily:
         # the first superadditivity constraint at index g fails
         assert vals[0] + vals[g - 2] < vals[g - 1]
         # but the restricted composite-volume constraints hold
-        assert not check_nonprime(e)
+        assert not check_superadditive(e)
 
 
 def _random_spec(rng):

@@ -17,7 +17,7 @@ import deltasimplex
 SCRIPT = """
 import sys
 from deltasimplex import Simplex
-import deltasimplex.classify as classify, deltasimplex.ehrhart as ehrhart, deltasimplex.lattice as lattice
+import deltasimplex.box as box, deltasimplex.classify as classify, deltasimplex.ehrhart as ehrhart, deltasimplex.lattice as lattice
 
 assert False, "asserts are not stripped"  # never raises under -O
 triangle = Simplex(((0, 0), (1, 0), (0, 1)))
@@ -48,6 +48,18 @@ FAULTS = {
         "classify.closed_form_delta = lambda spec: (1,) * (spec.dim + 1)",
         "lambda: classify.witness((1, 0, 4, 0), 5), lambda: classify.enumerate_admissible(5, 3)",
         "not the requested one",
+    ),
+    # the simplex has group Z/4; doubling the generator column makes it generate
+    # only a subgroup of order 2, which an unchecked count would report as (1, 1, 0)
+    "box-generators-not-independent": (
+        "from dataclasses import replace\n"
+        "real = box.smith_normal_form\n"
+        "box.smith_normal_form = lambda m: (\n"
+        "    lambda snf: replace(snf, right=tuple(row[:-1] + (2 * row[-1],) for row in snf.right))\n"
+        ")(real(m))\n"
+        "broken = Simplex(((0, 0), (1, 0), (1, 4)))",
+        "lambda: box.delta_from_box(broken), lambda: box.enumerate_box(broken)",
+        "box points of degree 0; the generators are not independent",
     ),
     "snf-membership": (
         "real = lattice.mat_mul\n"

@@ -134,3 +134,14 @@ def test_one_exit_path_in_the_cli():
 def test_lattice_reads_no_text():
     """The simplex file format and the integer syntax live in `cli`."""
     assert not {source for source, _ in imports("lattice")} & {"re", "json"}
+
+
+def test_all_is_exactly_the_reexported_names():
+    """`__all__` is sorted, has no duplicates, and names every name `__init__` imports from a submodule."""
+    (exported,) = (
+        ast.literal_eval(node.value)
+        for node in parse("__init__").body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
+    )
+    assert exported == sorted(set(exported))
+    assert set(exported) == {name for source, name in imports("__init__") if source.startswith(".")}
