@@ -7,8 +7,9 @@ delta-vector.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, cycle, repeat
 from math import prod
-from operator import add
+from operator import add, mod
 
 from .lattice import Simplex, smith_normal_form
 
@@ -37,8 +38,11 @@ def _box_coordinates(s: Simplex):
     check puts in the lattice), of orders o_j whose product is the normalized
     volume. Element k of the product of the ranges [0, o_j) is
     sum_j k_j g_j mod den. The returned generator yields, for each coordinate
-    i, the list of coordinate-i numerators of all elements, in the same
-    element order for every i.
+    i, a lazy iterator over the coordinate-i numerators of all elements, in
+    the same element order for every i. Adding generator j buffers the
+    o_1 ... o_(j-1) earlier values in a `cycle`, so an iterator holds no value
+    when the group is cyclic and fewer than 2V/s_n values otherwise, where V
+    is the volume and s_n = den the largest order.
     """
     d = s.dim
     snf = smith_normal_form(tuple(zip(*s.homogeneous_matrix())))
@@ -56,14 +60,18 @@ def _box_coordinates(s: Simplex):
 
     def coordinates():
         for i in range(d + 1):
-            values = [0]
+            values, size = (0,), 1
             for column, order in generators:
-                multiples = [k * column[i] % den for k in range(order)]
-                # adding the first generator's multiples to [0] would only copy them
-                values = multiples if len(values) == 1 else [
-                    (x + y) % den for y in multiples for x in values
-                ]
-            yield values
+                step = column[i]
+                multiples = range(0, step * order, step) if step else repeat(0, order)
+                # element e + size * k_j, e indexing the earlier generators: the earlier
+                # values cycle while each multiple of g_j repeats size times; adding the
+                # first generator's multiples to (0,) would only copy them
+                values = multiples if size == 1 else map(
+                    add, cycle(values), chain.from_iterable(map(repeat, multiples, repeat(size)))
+                )
+                size *= order
+            yield map(mod, values, repeat(den))
 
     return den, coordinates()
 
@@ -117,14 +125,15 @@ def box_inverse(a: BoxPoint) -> BoxPoint:
 def delta_from_box(s: Simplex) -> tuple[int, ...]:
     """Delta-vector of a simplex: entry i counts parallelepiped points of degree i.
 
-    Coordinate lists are added into per-element totals one at a time, so no
-    per-element tuple is built and at most three lists of volume length are
-    held at once.
+    The coordinate streams are added into one stream of per-element totals
+    that the degree count consumes, so no per-element tuple and no list of
+    volume length is built: memory is O(d) for a cyclic group and fewer
+    than 2(d+1)V/s_n values otherwise (see `_box_coordinates`).
     """
     den, coordinates = _box_coordinates(s)
     totals = next(coordinates)
     for values in coordinates:
-        totals = list(map(add, totals, values))
+        totals = map(add, totals, values)
     delta = [0] * (s.dim + 1)
     for total, count in Counter(totals).items():
         delta[_check_degree(total, den, s.dim)] += count

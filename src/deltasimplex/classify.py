@@ -191,7 +191,7 @@ def counterexample_family(p: int, ell: int) -> tuple[int, ...]:
     """
     if not is_prime(p) or p < 7:
         raise ValueError("need a prime p >= 7")
-    middle = p - 2 * ell - 1
+    middle = p - 2 * _as_int(ell) - 1
     if ell < 1 or middle < 0:
         raise ValueError("need 1 <= ell <= (p - 1) / 2")
     return (1, 0, ell, 0) + (1,) * middle + (0, ell, 0)

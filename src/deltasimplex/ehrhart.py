@@ -15,6 +15,7 @@ from .lattice import DEFAULT_BUDGET, Simplex, _as_int, row_hermite_form, within_
 
 def cell_estimate(s: Simplex, n: int) -> int:
     """Bounding-box cell count of the n-th dilate (the budgeted work estimate)."""
+    _as_int(n)
     cells = 1
     for k in range(s.dim):
         coords = [v[k] for v in s.vertices]

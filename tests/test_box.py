@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations_with_replacement
@@ -6,9 +7,12 @@ from itertools import combinations_with_replacement
 import pytest
 
 from deltasimplex import (
+    HNFSpec,
     Simplex,
     box_add,
     box_inverse,
+    build_simplex,
+    closed_form_delta,
     delta_from_box,
     ehrhart_delta,
     enumerate_box,
@@ -182,6 +186,27 @@ class TestDelta:
             counts = Counter(p.degree for p in enumerate_box(s))
             assert delta == tuple(counts[i] for i in range(dim + 1))
             assert delta == ehrhart_delta(s, budget=10**9)
+
+    def test_zero_step_coordinates(self):
+        # e_2 and e_3 get coefficient 0 in every element, so their multiples are all 0
+        spec = HNFSpec(5, (1, 0, 0, 0), 4)
+        s = build_simplex(spec)
+        assert {p.numerators[2:4] for p in enumerate_box(s)} == {(0, 0)}
+        assert delta_from_box(s) == closed_form_delta(spec)
+
+    def test_cyclic_group_in_constant_memory(self):
+        # volume 10007 is prime, so the group is cyclic and no value is buffered;
+        # a list of one coordinate's numerators alone would take over 64 KiB
+        spec = HNFSpec(10007, tuple(int(j in (3, 17, 5000)) for j in range(1, 10007)), 5)
+        s = build_simplex(spec)
+        tracemalloc.start()
+        try:
+            delta = delta_from_box(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+        assert delta == closed_form_delta(spec)
 
 
 # The simplex has group Z/4; doubling the generator column makes it generate

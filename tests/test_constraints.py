@@ -9,6 +9,7 @@ from deltasimplex import (
     HNFSpec,
     Simplex,
     admissible,
+    cell_estimate,
     check_hibi,
     check_hibi_exponents,
     check_pairing,
@@ -17,6 +18,7 @@ from deltasimplex import (
     check_superadditive,
     classify_case,
     count_lattice_points,
+    counterexample_family,
     delta_from_exponents,
     enumerate_admissible,
     exact_det,
@@ -108,6 +110,10 @@ class TestExponents:
         lambda: is_prime(True),
         lambda: least_prime_divisor(2.5),
         lambda: least_prime_divisor("7"),
+        lambda: counterexample_family(7, True),
+        lambda: counterexample_family(7, 2.0),
+        lambda: cell_estimate(Simplex(((0, 0), (1, 0), (2, 5))), 2.0),
+        lambda: cell_estimate(Simplex(((0, 0), (1, 0), (2, 5))), True),
     ],
     ids=[
         "witness-float", "checks-float", "exponents-str", "exponents-bool", "exponent-dim-float",
@@ -115,6 +121,8 @@ class TestExponents:
         "search-dim-float", "search-volume-float", "count-dilate-bool", "enumerate-volume-float",
         "enumerate-dim-float", "admissible-volume-float", "is-prime-float", "is-prime-str",
         "is-prime-bool", "least-prime-divisor-float", "least-prime-divisor-str",
+        "counterexample-family-ell-bool", "counterexample-family-ell-float", "cell-estimate-float",
+        "cell-estimate-bool",
     ],
 )
 def test_library_inputs_are_integers_only(call):

@@ -31,6 +31,15 @@ for call in ({calls},):
         print("returned")
 """
 
+# doubles the last column of the SNF's right transform, and so the last generator
+DOUBLED_LAST_COLUMN = (
+    "from dataclasses import replace\n"
+    "real = box.smith_normal_form\n"
+    "box.smith_normal_form = lambda m: (\n"
+    "    lambda snf: replace(snf, right=tuple(row[:-1] + (2 * row[-1],) for row in snf.right))\n"
+    ")(real(m))\n"
+)
+
 # fault, calls that must raise, a phrase of the raising check's message
 FAULTS = {
     "witness-coefficients-overflow": (
@@ -52,12 +61,14 @@ FAULTS = {
     # the simplex has group Z/4; doubling the generator column makes it generate
     # only a subgroup of order 2, which an unchecked count would report as (1, 1, 0)
     "box-generators-not-independent": (
-        "from dataclasses import replace\n"
-        "real = box.smith_normal_form\n"
-        "box.smith_normal_form = lambda m: (\n"
-        "    lambda snf: replace(snf, right=tuple(row[:-1] + (2 * row[-1],) for row in snf.right))\n"
-        ")(real(m))\n"
-        "broken = Simplex(((0, 0), (1, 0), (1, 4)))",
+        DOUBLED_LAST_COLUMN + "broken = Simplex(((0, 0), (1, 0), (1, 4)))",
+        "lambda: box.delta_from_box(broken), lambda: box.enumerate_box(broken)",
+        "box points of degree 0; the generators are not independent",
+    ),
+    # the group is Z/2 x Z/2, so the last generator is added through `cycle`; doubled,
+    # it is 0 and every element of the first generator's subgroup is counted twice
+    "box-noncyclic-generators-not-independent": (
+        DOUBLED_LAST_COLUMN + "broken = Simplex(((0, 0), (2, 0), (0, 2)))",
         "lambda: box.delta_from_box(broken), lambda: box.enumerate_box(broken)",
         "box points of degree 0; the generators are not independent",
     ),
