@@ -5,8 +5,7 @@ addition of their coefficient vectors; counting them by degree yields the
 delta-vector.
 """
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import chain, cycle, repeat
 from math import prod
 from operator import add, mod
@@ -14,18 +13,14 @@ from operator import add, mod
 from .lattice import Simplex, smith_normal_form
 
 
-@dataclass(frozen=True)
-class BoxPoint:
+class BoxPoint(namedtuple("BoxPoint", "simplex numerators denominator degree")):
     """One parallelepiped point, written as coefficients over the group denominator.
 
     The coefficient of vertex i is numerators[i] / denominator, in [0, 1).
     The degree is the (integral) sum of the coefficients.
     """
 
-    simplex: Simplex = field(repr=False)
-    numerators: tuple[int, ...]
-    denominator: int
-    degree: int
+    __slots__ = ()
 
 
 def _box_coordinates(s: Simplex):

@@ -10,7 +10,7 @@ groups (`groups`); the triangular vertex matrices kept here are its
 geometric reference.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations_with_replacement, groupby, product
 from math import comb
 
@@ -77,25 +77,20 @@ def _cases(p: int) -> dict:
     return cases
 
 
-@dataclass(frozen=True)
-class CaseId:
+class CaseId(namedtuple("CaseId", "label branch", defaults=(None,))):
     """Which multiplicity-pattern case an exponent list falls into.
 
     `branch` is only set for the all-distinct volume-7 case: the sign of
     i_1 + i_3 - 2*i_2, which selects between the two witness formulas.
     """
 
-    label: str
-    branch: int | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(namedtuple("Witness", "spec case delta")):
     """A family spec whose closed-form delta-vector equals the requested one."""
 
-    spec: HNFSpec
-    case: CaseId
-    delta: tuple[int, ...]
+    __slots__ = ()
 
 
 def admissible(delta, p: int) -> tuple:

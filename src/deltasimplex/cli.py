@@ -42,17 +42,12 @@ def _jsonable(obj):
         return obj if abs(obj) < _JSON_INT_LIMIT else str(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if type(obj) in (list, tuple):  # not a record, though every record is a named tuple
         # plain ints in range, such as a delta-vector, pass in one step; bools take the path below
         if set(map(type, obj)) == {int} and -_JSON_INT_LIMIT < min(obj) and max(obj) < _JSON_INT_LIMIT:
             return list(obj)
         return [_jsonable(x) for x in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _spec_fields(spec: HNFSpec) -> dict:
-    """An `HNFSpec` as the JSON object {"m", "coeffs", "dim"}."""
-    return {"m": spec.m, "coeffs": spec.coeffs, "dim": spec.dim}
 
 
 def _text_lines(obj, indent=0):
@@ -176,7 +171,7 @@ def _cmd_hnf(args):
     via_box = delta_from_box(simplex)
     agree = closed == via_box
     return {
-        "spec": _spec_fields(spec),
+        "spec": spec._asdict(),
         "simplex": {"vertices": simplex.vertices},
         "delta_closed_form": closed,
         "delta_box": via_box,
@@ -212,7 +207,7 @@ def _cmd_classify(args):
     return {
         "admissible": True,
         "case": {"label": found.case.label, "branch": found.case.branch},
-        "witness": _spec_fields(found.spec),
+        "witness": found.spec._asdict(),
         "verified": verified,
     }, verified
 
@@ -227,7 +222,7 @@ def _cmd_enumerate(args):
             {
                 "delta": w.delta,
                 "case": w.case.label,
-                "witness": _spec_fields(w.spec),
+                "witness": w.spec._asdict(),
             }
             for w in witnesses
         ],

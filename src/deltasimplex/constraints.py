@@ -10,7 +10,7 @@ Each checker returns its violations as a tuple, empty exactly when the check
 passes, so a failure carries its witnesses.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from .lattice import _as_int
@@ -32,21 +32,20 @@ def is_prime(m: int) -> bool:
     return _as_int(m) >= 2 and least_prime_divisor(m) == m
 
 
-@dataclass(frozen=True)
-class ExponentList:
+class ExponentList(namedtuple("ExponentList", "values dim")):
     """Sorted exponents i_1 <= ... <= i_{m-1} in [1, dim], with dim carried along."""
 
-    values: tuple[int, ...]
-    dim: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(_as_int, self.values)))
-        if _as_int(self.dim) < 1:
+    def __new__(cls, values, dim):
+        values = tuple(map(_as_int, values))
+        if _as_int(dim) < 1:
             raise ValueError("dimension must be >= 1")
-        if any(not 1 <= v <= self.dim for v in self.values):
+        if any(not 1 <= v <= dim for v in values):
             raise ValueError("exponents must lie in [1, dim]")
-        if any(a > b for a, b in zip(self.values, self.values[1:])):
+        if any(a > b for a, b in zip(values, values[1:])):
             raise ValueError("exponents must be sorted")
+        return super().__new__(cls, values, dim)
 
     @property
     def m(self) -> int:

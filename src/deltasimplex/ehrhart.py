@@ -7,7 +7,7 @@ One walk of the largest dilate asked for gives the closed and interior counts
 of every smaller one. Nothing here shares code with the parallelepiped-group path.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import comb
 
 from .lattice import DEFAULT_BUDGET, Simplex, _as_int, row_hermite_form, within_budget
@@ -15,7 +15,8 @@ from .lattice import DEFAULT_BUDGET, Simplex, _as_int, row_hermite_form, within_
 
 def cell_estimate(s: Simplex, n: int) -> int:
     """Bounding-box cell count of the n-th dilate (the budgeted work estimate)."""
-    _as_int(n)
+    if _as_int(n) < 1:
+        raise ValueError("dilation factor must be >= 1")
     cells = 1
     for k in range(s.dim):
         coords = [v[k] for v in s.vertices]
@@ -108,24 +109,23 @@ def _delta_from_counts(s: Simplex, counts, interior) -> tuple[int, ...]:
     return delta
 
 
-@dataclass(frozen=True)
-class EhrhartTable:
+class EhrhartTable(namedtuple("EhrhartTable", "simplex counts interior_counts delta")):
     """Counts of the dilates: closed for n = 0..d+1, interior for n = 1..d+1; `delta` is derived."""
 
-    simplex: Simplex
-    counts: tuple[int, ...]
-    interior_counts: tuple[int, ...]
-    delta: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        d = self.simplex.dim
-        counts, interior = self.counts, self.interior_counts
+    def __new__(cls, simplex, counts, interior_counts):
+        d, interior = simplex.dim, interior_counts
         if len(counts) != d + 2 or len(interior) != d + 1:
             raise AssertionError(f"{d}-simplex table of lengths {len(counts)}, {len(interior)}")
         if any(interior[i] > counts[i + 1] for i in range(d + 1)):
             raise AssertionError(f"interior counts {interior} exceed closed counts {counts[1:]}")
-        delta = _delta_from_counts(self.simplex, counts, interior)
-        object.__setattr__(self, "delta", delta)
+        delta = _delta_from_counts(simplex, counts, interior)
+        return super().__new__(cls, simplex, counts, interior, delta)
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild through __new__, which derives `delta`
+        return (self.simplex, self.counts, self.interior_counts)
 
 
 def ehrhart_table(s: Simplex, budget: int = DEFAULT_BUDGET) -> EhrhartTable:

@@ -8,32 +8,30 @@ closed form implemented by `closed_form_delta`, which makes the family the
 workhorse for constructing witnesses with a prescribed delta-vector.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constraints import least_prime_divisor
 from .lattice import Simplex, _as_int
 
 
-@dataclass(frozen=True)
-class HNFSpec:
+class HNFSpec(namedtuple("HNFSpec", "m coeffs dim")):
     """Parameters (m, d_1..d_{m-1}, dim); the multiplicities must fit in dim-1 slots."""
 
-    m: int
-    coeffs: tuple[int, ...]
-    dim: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(_as_int, self.coeffs)))
-        if _as_int(self.m) < 2:
+    def __new__(cls, m, coeffs, dim):
+        coeffs = tuple(map(_as_int, coeffs))
+        if _as_int(m) < 2:
             raise ValueError("volume m must be >= 2")
-        if _as_int(self.dim) < 1:
+        if _as_int(dim) < 1:
             raise ValueError("dimension must be >= 1")
-        if len(self.coeffs) != self.m - 1:
-            raise ValueError(f"expected {self.m - 1} coefficients, got {len(self.coeffs)}")
-        if any(c < 0 for c in self.coeffs):
+        if len(coeffs) != m - 1:
+            raise ValueError(f"expected {m - 1} coefficients, got {len(coeffs)}")
+        if any(c < 0 for c in coeffs):
             raise ValueError("coefficients must be nonnegative")
-        if sum(self.coeffs) > self.dim - 1:
+        if sum(coeffs) > dim - 1:
             raise ValueError("coefficient sum must be at most dim - 1")
+        return super().__new__(cls, m, coeffs, dim)
 
 
 def build_simplex(spec: HNFSpec) -> Simplex:

@@ -4,7 +4,7 @@ Everything here runs on Python's arbitrary-precision integers, so all results
 are exact and overflow cannot happen silently. Text formats live in `cli`.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import sub
 
 DEFAULT_BUDGET = 10**8
@@ -78,8 +78,7 @@ def mat_mul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)] for i in range(n)]
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(namedtuple("SNFResult", "diagonal right")):
     """Smith form diagonal s_1 | s_2 | ... | s_n with a unimodular column transform.
 
     The entries are positive with product |det| of the input, and column j of
@@ -212,30 +211,37 @@ def row_hermite_form(matrix):
     return tuple(tuple(r) for r in a)
 
 
-@dataclass(frozen=True)
-class Simplex:
+def _edge_matrix(vertices):
+    """Columns v_i - v_0 for i = 1..d."""
+    v0 = vertices[0]
+    return tuple(zip(*(map(sub, v, v0) for v in vertices[1:])))
+
+
+class Simplex(namedtuple("Simplex", "vertices normalized_volume")):
     """Lattice simplex with d+1 integer vertices spanning all of d-space.
 
-    Immutable; degenerate vertex sets are rejected at construction time.
-    `normalized_volume` is |det| of the edge matrix; it equals the sum of the
-    delta-vector entries.
+    Immutable; degenerate vertex sets are rejected at construction time, which
+    takes the vertices alone. `normalized_volume` is |det| of the edge matrix,
+    derived there; it equals the sum of the delta-vector entries.
     """
 
-    vertices: tuple[tuple[int, ...], ...]
-    normalized_volume: int = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        verts = tuple(tuple(map(_as_int, v)) for v in self.vertices)
+    def __new__(cls, vertices):
+        verts = tuple(tuple(map(_as_int, v)) for v in vertices)
         if len(verts) < 2:
             raise ValueError("a simplex needs at least two vertices")
         d = len(verts) - 1
         if any(len(v) != d for v in verts):
             raise ValueError(f"expected {d + 1} vertices of length {d}")
-        object.__setattr__(self, "vertices", verts)
-        det = exact_det(self.edge_matrix())
+        det = exact_det(_edge_matrix(verts))
         if det == 0:
             raise DegenerateSimplexError("vertices do not span a full-dimensional simplex")
-        object.__setattr__(self, "normalized_volume", abs(det))
+        return super().__new__(cls, verts, abs(det))
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild through __new__, which takes the vertices alone
+        return (self.vertices,)
 
     @property
     def dim(self) -> int:
@@ -243,8 +249,7 @@ class Simplex:
 
     def edge_matrix(self):
         """Columns v_i - v_0 for i = 1..d."""
-        v0 = self.vertices[0]
-        return tuple(zip(*(map(sub, v, v0) for v in self.vertices[1:])))
+        return _edge_matrix(self.vertices)
 
     def homogeneous_matrix(self):
         """Rows (v_i, 1) for i = 0..d."""

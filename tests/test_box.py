@@ -1,7 +1,6 @@
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
@@ -221,7 +220,7 @@ class TestBrokenSNF:
 
         def doubled_last_column(matrix):
             snf = real(matrix)
-            return replace(snf, right=tuple(row[:-1] + (2 * row[-1],) for row in snf.right))
+            return snf._replace(right=tuple(row[:-1] + (2 * row[-1],) for row in snf.right))
 
         monkeypatch.setattr(deltasimplex.box, "smith_normal_form", doubled_last_column)
 

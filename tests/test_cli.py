@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -17,7 +16,7 @@ import deltasimplex.cli
 import deltasimplex.constraints
 import deltasimplex.ehrhart
 from conftest import random_simplex
-from deltasimplex import delta_from_box
+from deltasimplex import HNFSpec, Simplex, delta_from_box
 from deltasimplex.cli import _jsonable, main
 
 
@@ -660,6 +659,14 @@ class TestJsonable:
     def test_int_dict_key(self):
         assert json.dumps(_jsonable({3: (1, 2)})) == '{"3": [1, 2]}'
 
+    @pytest.mark.parametrize(
+        "record", [HNFSpec(5, (0, 1, 1, 0), 3), Simplex(((0, 0), (1, 0), (0, 1)))], ids=["HNFSpec", "Simplex"]
+    )
+    def test_records_are_refused(self, record):
+        """A record is a named tuple, yet not printed as a list: a handler names the fields it emits."""
+        with pytest.raises(TypeError, match="cannot serialize"):
+            _jsonable(record)
+
 
 def _reference_jsonable(obj):
     """`_jsonable` without its one-step path for int lists: one call per item."""
@@ -686,11 +693,9 @@ def _reference_jsonable(obj):
     ],
 )
 def test_emit_matches_the_reference_path(capsys, monkeypatch, argv, output):
-    """Specs built by `_spec_fields` and flat int lists made JSON-safe in one step print the same bytes
-    as `dataclasses.asdict` and a per-item `_jsonable`."""
+    """Flat int lists made JSON-safe in one step print the same bytes as a per-item `_jsonable`."""
     argv = ["--output", output] + argv
     emitted = run(capsys, argv)
-    monkeypatch.setattr(deltasimplex.cli, "_spec_fields", dataclasses.asdict)
     monkeypatch.setattr(deltasimplex.cli, "_jsonable", _reference_jsonable)
     assert run(capsys, argv) == emitted
 

@@ -157,6 +157,12 @@ class TestBudget:
         assert cell_estimate(SEGMENT5, 2) == 11
         assert cell_estimate(TRIANGLE235, 1) == 3 * 4 * 6
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_estimate_refuses_a_dilate_below_one(self, n):
+        """As `count_lattice_points` does: there is no n-th dilate to estimate for n < 1."""
+        with pytest.raises(ValueError, match="dilation factor must be >= 1"):
+            cell_estimate(Simplex(((0, 0), (1, 0), (2, 5))), n)
+
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceededError) as info:
             count_lattice_points(SEGMENT5, 2, budget=10)

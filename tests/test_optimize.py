@@ -33,10 +33,9 @@ for call in ({calls},):
 
 # doubles the last column of the SNF's right transform, and so the last generator
 DOUBLED_LAST_COLUMN = (
-    "from dataclasses import replace\n"
     "real = box.smith_normal_form\n"
     "box.smith_normal_form = lambda m: (\n"
-    "    lambda snf: replace(snf, right=tuple(row[:-1] + (2 * row[-1],) for row in snf.right))\n"
+    "    lambda snf: snf._replace(right=tuple(row[:-1] + (2 * row[-1],) for row in snf.right))\n"
     ")(real(m))\n"
 )
 
@@ -48,8 +47,7 @@ FAULTS = {
         "that are negative or sum past",
     ),
     "closed-form-exponent-range": (
-        "spec = classify.HNFSpec(5, (0, 0, 0, 0), 1)\n"
-        "object.__setattr__(spec, 'coeffs', (0, 4, 0, 0))  # past the sum check of HNFSpec",
+        "spec = classify.HNFSpec(5, (0, 0, 0, 0), 1)._replace(coeffs=(0, 4, 0, 0))  # past the sum check of HNFSpec",
         "lambda: classify.closed_form_delta(spec)",
         "outside [1, 1]",
     ),
