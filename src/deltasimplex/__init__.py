@@ -1,25 +1,21 @@
 """Exact delta-vector (h*-vector) computation, validation and classification
 for full-dimensional lattice simplices."""
 
-from .box import BoxPoint, box_add, box_inverse, delta_from_box, enumerate_box
+from .box import BoxPoint, delta_from_box, enumerate_box
 from .classify import (
     CaseId,
     Witness,
     admissible,
-    classify_case,
     counterexample_family,
     enumerate_admissible,
-    iter_hnf_matrices,
     iter_hnf_simplices,
     witness,
 )
 from .constraints import (
     ExponentList,
     check_hibi,
-    check_hibi_exponents,
     check_pairing,
     check_stanley,
-    check_stanley_exponents,
     check_superadditive,
     delta_from_exponents,
     exponents,
@@ -62,17 +58,12 @@ __all__ = [
     "Simplex",
     "Witness",
     "admissible",
-    "box_add",
-    "box_inverse",
     "build_simplex",
     "cell_estimate",
     "check_hibi",
-    "check_hibi_exponents",
     "check_pairing",
     "check_stanley",
-    "check_stanley_exponents",
     "check_superadditive",
-    "classify_case",
     "closed_form_delta",
     "count_lattice_points",
     "counterexample_family",
@@ -86,7 +77,6 @@ __all__ = [
     "exhaustive_search",
     "exponents",
     "is_prime",
-    "iter_hnf_matrices",
     "iter_hnf_simplices",
     "least_prime_divisor",
     "nonprime_family",

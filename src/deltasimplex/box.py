@@ -13,7 +13,7 @@ from operator import add, mod
 from .lattice import Simplex, smith_normal_form
 
 
-class BoxPoint(namedtuple("BoxPoint", "simplex numerators denominator degree")):
+class BoxPoint(namedtuple("BoxPoint", "numerators denominator degree")):
     """One parallelepiped point, written as coefficients over the group denominator.
 
     The coefficient of vertex i is numerators[i] / denominator, in [0, 1).
@@ -94,27 +94,11 @@ def enumerate_box(s: Simplex) -> tuple[BoxPoint, ...]:
     """All parallelepiped points of a simplex, in canonical (lexicographic) order, identity first."""
     den, coordinates = _box_coordinates(s)
     points = tuple(
-        BoxPoint(s, nums, den, _check_degree(sum(nums), den, s.dim))
+        BoxPoint(nums, den, _check_degree(sum(nums), den, s.dim))
         for nums in sorted(zip(*coordinates))
     )
     _check_identity(sum(1 for p in points if p.degree == 0))
     return points
-
-
-def box_add(a: BoxPoint, b: BoxPoint) -> BoxPoint:
-    """Group operation: coordinate-wise fractional addition of coefficients."""
-    if a.simplex != b.simplex or a.denominator != b.denominator:
-        raise ValueError("box points belong to different groups")
-    den = a.denominator
-    nums = tuple((x + y) % den for x, y in zip(a.numerators, b.numerators))
-    return BoxPoint(a.simplex, nums, den, _check_degree(sum(nums), den, a.simplex.dim))
-
-
-def box_inverse(a: BoxPoint) -> BoxPoint:
-    """Group inverse: each coefficient r maps to the fractional part of 1 - r."""
-    den = a.denominator
-    nums = tuple(-x % den for x in a.numerators)
-    return BoxPoint(a.simplex, nums, den, _check_degree(sum(nums), den, a.simplex.dim))
 
 
 def delta_from_box(s: Simplex) -> tuple[int, ...]:

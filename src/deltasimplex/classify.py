@@ -19,7 +19,6 @@ from .constraints import (
     _superadditive,
     _validated_delta,
     check_pairing,
-    check_superadditive,
     delta_from_exponents,
     exponents,
     is_prime,
@@ -110,7 +109,7 @@ def _exponents_and_violations(delta, p: int) -> tuple[ExponentList, tuple]:
     if m != p:
         raise ValueError(f"delta-vector sums to {m}, expected {p}")
     e = exponents(delta)
-    return e, check_pairing(e) + check_superadditive(e, pairs=reduced_pairs(p))
+    return e, check_pairing(e) + _superadditive(e.values, reduced_pairs(p))
 
 
 def _case(e: ExponentList):
@@ -121,11 +120,6 @@ def _case(e: ExponentList):
         raise ValueError(f"no case matches multiplicity pattern {pattern}")
     label, formula = found
     return CaseId(label, _viii_sign(*e.values) if label == "viii" else None), formula
-
-
-def classify_case(e: ExponentList) -> CaseId:
-    """Case of an admissible exponent list, from its multiplicity pattern."""
-    return _case(e)[0]
 
 
 def witness(delta, p: int) -> Witness:
@@ -181,7 +175,7 @@ def enumerate_admissible(p: int, d: int, budget: int = DEFAULT_BUDGET) -> list[W
 def counterexample_family(p: int, ell: int) -> tuple[int, ...]:
     """Vector (1, 0, ell, 0, 1...1, 0, ell, 0) of volume p and dimension p - 2*ell + 5.
 
-    Passes the pairing and both exponent-form bounds, yet fails
+    Passes the pairing and the Stanley and Hibi bounds, yet fails
     superadditivity, so the latter is genuinely needed.
     """
     if not is_prime(p) or p < 7:
@@ -202,15 +196,16 @@ def _ordered_factorizations(n: int, parts: int):
                 yield (divisor,) + rest
 
 
-def iter_hnf_matrices(d: int, vol: int):
-    """All d x d lower-triangular vertex matrices of determinant vol, one per class.
+def iter_hnf_simplices(d: int, vol: int):
+    """All d-simplices of normalized volume vol with lower-triangular vertex matrices, one per class.
 
+    The origin is the first vertex; the rows of the matrix are the others.
     Diagonal entries are positive with product vol; the entries left of each
     diagonal entry run over [0, that diagonal entry). Every full-dimensional
     lattice simplex with a vertex at the origin is equivalent, under a
-    unimodular change of ambient coordinates, to the hull of the origin and
-    the rows of exactly one such matrix.
+    unimodular change of ambient coordinates, to exactly one of these.
     """
+    origin = tuple([0] * d)
     for diag in _ordered_factorizations(vol, d):
         ranges = [range(diag[i]) for i in range(d) for _ in range(i)]
         for flat in product(*ranges):
@@ -220,11 +215,4 @@ def iter_hnf_matrices(d: int, vol: int):
                 row = list(flat[pos : pos + i]) + [diag[i]] + [0] * (d - i - 1)
                 pos += i
                 rows.append(tuple(row))
-            yield tuple(rows)
-
-
-def iter_hnf_simplices(d: int, vol: int):
-    origin = tuple([0] * d)
-    for rows in iter_hnf_matrices(d, vol):
-        yield Simplex((origin,) + rows)
-
+            yield Simplex((origin,) + tuple(rows))

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .box import delta_from_box, enumerate_box
-from .classify import _PATTERN_CASES, _exponents_and_violations, _witness, enumerate_admissible
+from .classify import _PATTERN_CASES, admissible, enumerate_admissible, witness
 from .constraints import _validated_delta, least_prime_divisor, run_all_checks
 from .ehrhart import ehrhart_delta, ehrhart_table
 from .groups import exhaustive_search
@@ -193,7 +193,8 @@ def _cmd_check(args):
 
 
 def _cmd_classify(args):
-    e, violations = _exponents_and_violations(_parse_int_list(args.delta, "--delta"), args.volume)
+    delta = _parse_int_list(args.delta, "--delta")
+    violations = admissible(delta, args.volume)
     if violations:
         return {
             "admissible": False,
@@ -202,7 +203,7 @@ def _cmd_classify(args):
             "witness": None,
             "verified": False,
         }, False
-    found = _witness(e)
+    found = witness(delta, args.volume)
     verified = delta_from_box(_box_budget(build_simplex(found.spec), args.budget)) == found.delta
     return {
         "admissible": True,

@@ -122,17 +122,13 @@ def _superadditive(vals, pairs) -> tuple:
     return tuple((k, l) for k, l in pairs if vals[k - 1] + vals[l - 1] < vals[k + l - 1])
 
 
-def check_superadditive(e: ExponentList, pairs=None) -> tuple:
+def check_superadditive(e: ExponentList) -> tuple:
     """i_k + i_l >= i_{k+l} whenever k <= l and k+l <= g-1, g the least prime divisor of m.
 
     At prime volume g is m itself, so every pair is checked; at even volume
-    the check is vacuous. An explicit `pairs` iterable restricts the check
-    (used with `reduced_pairs`, which is equivalent once the pairing
-    equalities hold).
+    the check is vacuous.
     """
-    if pairs is None:
-        pairs = _pairs_below(least_prime_divisor(e.m))
-    return _superadditive(e.values, pairs)
+    return _superadditive(e.values, _pairs_below(least_prime_divisor(e.m)))
 
 
 def reduced_pairs(p: int) -> tuple[tuple[int, int], ...]:
@@ -146,8 +142,17 @@ def reduced_pairs(p: int) -> tuple[tuple[int, int], ...]:
 
 
 def check_stanley(delta) -> tuple:
-    """Cumulative lower bound: the first i+1 entries never outweigh the last i+1
-    nonzero-leading ones, for i up to half the degree."""
+    """Stanley's lower bound (JPAA 1991): the first i+1 entries never outweigh
+    entries s-i..s, for i up to half the degree s; violations are those i.
+
+    This is also the exponent form i_j + i_{m-1-j} >= s for all j, with
+    i_0 = 0 put before the exponents. Let S(t) count i_0..i_{m-1} in [0, t]
+    and T(t) count those >= s-t. For two sorted lists, a_j <= b_j for every
+    j exactly when a has at least as many entries <= t as b for every t;
+    with b_j = s - i_{m-1-j}, the exponent form says S(t) <= T(t) for all t.
+    Since S(t) = m - T(s-1-t), the condition at t is the one at s-1-t, so
+    t <= (s-1)/2 suffices, and t runs up to s // 2 here.
+    """
     entries = _validated_delta(delta)
     s = max(i for i, x in enumerate(entries) if x != 0)
     total = list(accumulate(entries, initial=0))  # total[k] = sum(entries[:k])
@@ -155,30 +160,23 @@ def check_stanley(delta) -> tuple:
 
 
 def check_hibi(delta) -> tuple:
-    """Tail bound: the top i+1 entries never outweigh entries 1..i+1,
-    for i up to half of d-1."""
+    """Hibi's tail bound (Adv. Math. 1994): entries d-i..d never outweigh
+    entries 1..i+1, for i up to half of d-1; violations are those i.
+
+    This is also the exponent form i_j + i_{m-j} <= d+1 for all j. Let S(t)
+    count exponents in [1, t] and T(t) count exponents >= d+1-t, so the
+    bound at i is T(i+1) <= S(i+1). For two sorted lists, a_j <= b_j for
+    every j exactly when a has at least as many entries <= t as b for every
+    t; with b_j = d+1 - i_{m-j}, the exponent form says T(t) <= S(t) for
+    all t. Since S(t) = m-1 - T(d-t), the condition at t is the one at d-t,
+    so t <= d/2 suffices, and t runs up to (d+1) // 2 here.
+    """
     entries = _validated_delta(delta)
     d = len(entries) - 1
     total = list(accumulate(entries, initial=0))  # total[k] = sum(entries[:k])
     return tuple(
         i for i in range((d - 1) // 2 + 1) if total[d + 1] - total[d - i] > total[i + 2] - total[1]
     )
-
-
-def check_stanley_exponents(e: ExponentList) -> tuple:
-    """Exponent form of the cumulative lower bound: i_j + i_{m-j-1} >= i_{m-1}."""
-    vals = e.values
-    m = e.m
-    top = vals[m - 2] if m >= 2 else 0
-    return tuple(j for j in range(1, m - 1) if vals[j - 1] + vals[m - j - 2] < top)
-
-
-def check_hibi_exponents(e: ExponentList) -> tuple:
-    """Exponent form of the tail bound: i_j + i_{m-j} <= dim + 1."""
-    vals = e.values
-    m = e.m
-    bound = e.dim + 1
-    return tuple(j for j in range(1, m) if vals[j - 1] + vals[m - j - 1] > bound)
 
 
 def run_all_checks(delta) -> dict:
@@ -189,8 +187,6 @@ def run_all_checks(delta) -> dict:
     checks = {
         "stanley": check_stanley(entries),
         "hibi": check_hibi(entries),
-        "stanley_exponents": check_stanley_exponents(e),
-        "hibi_exponents": check_hibi_exponents(e),
     }
     if m >= 3:
         prime = is_prime(m)

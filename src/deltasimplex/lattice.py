@@ -89,9 +89,6 @@ class SNFResult(namedtuple("SNFResult", "diagonal right")):
     that they list the whole group without repeats.
     """
 
-    diagonal: tuple[int, ...]
-    right: tuple[tuple[int, ...], ...]
-
 
 def _least_entry(a, t):
     """Row-major first position (i, j), i, j >= t, of the least nonzero |a[i][j]|."""

@@ -7,17 +7,15 @@ use and is not a correctness tolerance.
 """
 
 import random
+from itertools import combinations_with_replacement
 from math import comb
 
 from deltasimplex import (
     HNFSpec,
-    box_inverse,
     build_simplex,
     check_hibi,
-    check_hibi_exponents,
     check_pairing,
     check_stanley,
-    check_stanley_exponents,
     check_superadditive,
     closed_form_delta,
     counterexample_family,
@@ -35,7 +33,7 @@ from deltasimplex import (
     admissible,
     ExponentList,
 )
-from conftest import random_simplex
+from conftest import box_inverse, hibi_exponents, random_simplex, stanley_exponents
 
 BIG_BUDGET = 10**12
 
@@ -127,8 +125,8 @@ def test_criterion_6_negative_vectors():
         delta = counterexample_family(p, ell)
         e = exponents(delta)
         assert not check_pairing(e)
-        assert not check_stanley_exponents(e)
-        assert not check_hibi_exponents(e)
+        assert not check_stanley(delta)
+        assert not check_hibi(delta)
         assert check_superadditive(e)
     print("PASS criterion 6: known impossible vectors rejected exactly as predicted")
 
@@ -158,16 +156,23 @@ def test_criterion_7_prime_volume_properties():
 
 
 def test_criterion_8_exponent_form_equivalences():
-    rng = random.Random(108)
-    for _ in range(10_000):
-        d = rng.randint(1, 12)
-        m = rng.randint(1, 12)
-        e = ExponentList(tuple(sorted(rng.randint(1, d) for _ in range(m - 1))), d)
-        delta = delta_from_exponents(e)
-        assert bool(check_stanley_exponents(e)) == bool(check_stanley(delta)), delta
-        assert bool(check_hibi_exponents(e)) == bool(check_hibi(delta)), delta
-    print("PASS criterion 8: exponent-form checks match cumulative-form checks "
-          "on 10000 random vectors")
+    # every delta-vector with d <= 7 and 2 <= m <= 11, as its exponent list
+    checked, failed = 0, [0, 0]
+    for d in range(1, 8):
+        for m in range(2, 12):
+            for values in combinations_with_replacement(range(1, d + 1), m - 1):
+                e = ExponentList(values, d)
+                delta = delta_from_exponents(e)
+                stanley, hibi = bool(check_stanley(delta)), bool(check_hibi(delta))
+                assert stanley == bool(stanley_exponents(e)), delta
+                assert hibi == bool(hibi_exponents(e)), delta
+                failed[0] += stanley
+                failed[1] += hibi
+                checked += 1
+    assert checked == 31_816
+    assert all(failed), failed  # both verdicts of both bounds occur
+    print(f"PASS criterion 8: the exponent forms give the verdicts of check_stanley and "
+          f"check_hibi on all {checked} vectors with d <= 7, m <= 11")
 
 
 def test_criterion_9_reciprocity():

@@ -14,7 +14,6 @@ from deltasimplex import (
     build_simplex,
     check_pairing,
     check_superadditive,
-    classify_case,
     closed_form_delta,
     counterexample_family,
     delta_from_box,
@@ -23,7 +22,7 @@ from deltasimplex import (
     exhaustive_search,
     exponents,
     is_prime,
-    iter_hnf_matrices,
+    iter_hnf_simplices,
     witness,
 )
 
@@ -49,26 +48,31 @@ class TestAdmissible:
             admissible((1, 1, 0, 2, 0, 0), 4)
 
 
+def case(values, dim):
+    """Case of the witness of the delta-vector with these exponents."""
+    return witness(delta_from_exponents(ExponentList(values, dim)), len(values) + 1).case
+
+
 class TestClassifyCase:
     def test_patterns_volume_five(self):
-        assert classify_case(ExponentList((2, 2, 2, 2), 3)).label == "i"
-        assert classify_case(ExponentList((1, 1, 2, 2), 2)).label == "ii"
-        assert classify_case(ExponentList((1, 2, 2, 3), 3)).label == "iii"
-        assert classify_case(ExponentList((1, 2, 3, 4), 4)).label == "iv"
+        assert case((2, 2, 2, 2), 3).label == "i"
+        assert case((1, 1, 2, 2), 2).label == "ii"
+        assert case((1, 2, 2, 3), 3).label == "iii"
+        assert case((1, 2, 3, 4), 4).label == "iv"
 
     def test_patterns_volume_seven(self):
-        assert classify_case(ExponentList((1, 3, 3, 3, 3, 5), 5)).label == "iii"
-        assert classify_case(ExponentList((1, 1, 2, 2, 3, 3), 3)).label == "iv"
-        assert classify_case(ExponentList((1, 2, 2, 3, 3, 4), 4)).label == "v"
-        assert classify_case(ExponentList((1, 1, 2, 3, 4, 4), 4)).label == "vi"
-        assert classify_case(ExponentList((1, 2, 3, 3, 4, 5), 5)).label == "vii"
+        assert case((2, 3, 3, 3, 3, 4), 5).label == "iii"
+        assert case((1, 1, 2, 2, 3, 3), 3).label == "iv"
+        assert case((1, 2, 2, 3, 3, 4), 4).label == "v"
+        assert case((2, 2, 3, 4, 5, 5), 6).label == "vi"
+        assert case((1, 2, 3, 3, 4, 5), 5).label == "vii"
 
     def test_distinct_case_branches(self):
-        zero = classify_case(ExponentList((1, 2, 3, 4, 5, 6), 6))
+        zero = case((1, 2, 3, 4, 5, 6), 6)
         assert zero.label == "viii" and zero.branch == 0
-        plus = classify_case(ExponentList((2, 3, 5, 6, 8, 9), 10))
+        plus = case((2, 3, 5, 6, 8, 9), 10)
         assert plus.label == "viii" and plus.branch == 1
-        minus = classify_case(ExponentList((2, 4, 5, 6, 7, 9), 10))
+        minus = case((2, 4, 5, 6, 7, 9), 10)
         assert minus.label == "viii" and minus.branch == -1
 
 
@@ -209,15 +213,15 @@ class TestExhaustiveSearch:
 
     def test_matrix_count_matches_sublattice_count(self):
         # for d = 2 there are sigma(vol) triangular matrices
-        assert len(list(iter_hnf_matrices(2, 5))) == 6
-        assert len(list(iter_hnf_matrices(2, 6))) == 12
+        assert len(list(iter_hnf_simplices(2, 5))) == 6
+        assert len(list(iter_hnf_simplices(2, 6))) == 12
 
     def test_matrices_have_requested_determinant(self):
-        for rows in iter_hnf_matrices(3, 8):
-            det = 1
-            for i in range(3):
-                det *= rows[i][i]
-            assert det == 8
+        for s in iter_hnf_simplices(3, 8):
+            origin, *rows = s.vertices
+            assert origin == (0, 0, 0)
+            assert all(rows[i][j] == 0 for i in range(3) for j in range(i + 1, 3))
+            assert rows[0][0] * rows[1][1] * rows[2][2] == s.normalized_volume == 8
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):

@@ -13,7 +13,6 @@ import pytest
 
 import deltasimplex.classify
 import deltasimplex.cli
-import deltasimplex.constraints
 import deltasimplex.ehrhart
 from conftest import random_simplex
 from deltasimplex import HNFSpec, Simplex, delta_from_box
@@ -437,15 +436,6 @@ class TestEveryCommandBudget:
         code, out, err = run(capsys, ["classify", "--delta", "1,100000000000000", "--volume", "5"])
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["message"] == "delta-vector sums to 100000000000001, expected 5"
-
-    def test_classify_builds_the_exponent_list_once(self, capsys, monkeypatch):
-        calls = []
-        real = deltasimplex.constraints.exponents
-        for module in (deltasimplex.classify, deltasimplex.cli):
-            if hasattr(module, "exponents"):
-                monkeypatch.setattr(module, "exponents", lambda delta: calls.append(delta) or real(delta))
-        code, _, _ = run(capsys, ["classify", "--delta", "1,0,4,0", "--volume", "5"])
-        assert (code, len(calls)) == (0, 1)
 
     def test_inadmissible_vector_builds_no_group(self, capsys):
         code, out, _ = run(capsys, ["--budget", "3", "classify", "--delta", "1,0,2,0,1,1,0,2,0", "--volume", "7"])

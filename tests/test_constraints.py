@@ -11,12 +11,9 @@ from deltasimplex import (
     admissible,
     cell_estimate,
     check_hibi,
-    check_hibi_exponents,
     check_pairing,
     check_stanley,
-    check_stanley_exponents,
     check_superadditive,
-    classify_case,
     count_lattice_points,
     counterexample_family,
     delta_from_exponents,
@@ -30,7 +27,10 @@ from deltasimplex import (
     run_all_checks,
     witness,
 )
+from deltasimplex.classify import _case
+from deltasimplex.constraints import _superadditive
 from deltasimplex.lattice import row_hermite_form
+from conftest import hibi_exponents, stanley_exponents
 
 
 @st.composite
@@ -134,8 +134,8 @@ def test_library_inputs_are_integers_only(call):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: classify_case(ExponentList(tuple(range(1, 11)), 10)), "covers volumes 5 and 7 only"),
-        (lambda: classify_case(ExponentList((1, 2, 3, 3), 3)), r"no case matches multiplicity pattern \(1, 1, 2\)"),
+        (lambda: witness((1,) * 11, 11), "covers volumes 5 and 7 only"),
+        (lambda: _case(ExponentList((1, 2, 3, 3), 3)), r"no case matches multiplicity pattern \(1, 1, 2\)"),
         (lambda: enumerate_admissible(11, 3), "covers volumes 5 and 7 only"),
         (lambda: exact_det([]), "matrix must be nonempty"),
         (lambda: row_hermite_form([[0, 0], [0, 0]]), "matrix is singular"),
@@ -229,7 +229,7 @@ class TestReducedPairs:
                 e = ExponentList(tuple(vals), d)
                 assert not check_pairing(e)
                 full = not check_superadditive(e)
-                reduced = not check_superadditive(e, pairs=pairs)
+                reduced = not _superadditive(e.values, pairs)
                 assert full == reduced
                 found_reject += not full
                 trials += 1
@@ -254,18 +254,6 @@ class TestCumulativeChecks:
         report = check_hibi((1, 0, 0, 1))
         assert 0 in report
 
-    @settings(max_examples=300, deadline=None)
-    @given(exponent_lists())
-    def test_stanley_equivalence(self, e):
-        delta = delta_from_exponents(e)
-        assert bool(check_stanley(delta)) == bool(check_stanley_exponents(e))
-
-    @settings(max_examples=300, deadline=None)
-    @given(exponent_lists())
-    def test_hibi_equivalence(self, e):
-        delta = delta_from_exponents(e)
-        assert bool(check_hibi(delta)) == bool(check_hibi_exponents(e))
-
     def test_running_sums_match_the_slice_sum_definition(self):
         def stanley(delta):
             s = max(i for i, x in enumerate(delta) if x != 0)
@@ -282,15 +270,11 @@ class TestCumulativeChecks:
             assert check_hibi(delta) == hibi(delta)
 
     def test_exponent_forms_on_examples(self):
-        e = exponents((1, 0, 2, 0, 1, 1, 0, 2, 0))
-        assert not check_stanley_exponents(e)
-        assert not check_hibi_exponents(e)
-        e = ExponentList((1, 3, 3), 5)
-        assert not check_stanley_exponents(e)
-        assert not check_hibi_exponents(e)
         additive = ExponentList(tuple(range(1, 7)), 6)
-        assert not check_stanley_exponents(additive)
-        assert not check_hibi_exponents(additive)
+        for e in (exponents((1, 0, 2, 0, 1, 1, 0, 2, 0)), ExponentList((1, 3, 3), 5), additive):
+            delta = delta_from_exponents(e)
+            assert not stanley_exponents(e) and not check_stanley(delta)
+            assert not hibi_exponents(e) and not check_hibi(delta)
 
 
 class TestNonprime:
@@ -319,8 +303,6 @@ class TestRunAllChecks:
         assert set(report["checks"]) == {
             "stanley",
             "hibi",
-            "stanley_exponents",
-            "hibi_exponents",
             "pairing",
             "superadditive",
         }
@@ -333,9 +315,4 @@ class TestRunAllChecks:
 
     def test_volume_two_report(self):
         report = run_all_checks((1, 0, 1))
-        assert set(report["checks"]) == {
-            "stanley",
-            "hibi",
-            "stanley_exponents",
-            "hibi_exponents",
-        }
+        assert set(report["checks"]) == {"stanley", "hibi"}

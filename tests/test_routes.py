@@ -145,3 +145,37 @@ def test_all_is_exactly_the_reexported_names():
     )
     assert exported == sorted(set(exported))
     assert set(exported) == {name for source, name in imports("__init__") if source.startswith(".")}
+
+
+# exported names that nothing in the package or the benchmark calls, each with the statement of the
+# paper it reproduces
+EXPORTED_FOR_THE_PAPER = {
+    "count_lattice_points": "the Ehrhart function L(P, n), the lattice points of the n-th dilate",
+    "nonprime_family": "the paper's composite-volume vectors that break the prime-volume constraints",
+    "counterexample_family": "the paper's vectors that pass pairing, Stanley and Hibi yet fail superadditivity",
+}
+
+
+def referenced_names(tree, skip):
+    """Names read, plainly or as attributes, in `tree`, outside any `def` or `class` named `skip`."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
+            continue
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            found.add(getattr(node, "id", None) or node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_export_has_a_caller():
+    """Each name of `__all__` is used by the package or the benchmark, or reproduces a paper statement."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in [*PACKAGE.glob("*.py"), *perfbench.glob("*.py")]]
+    uncalled = {
+        name for name in deltasimplex.__all__
+        if not any(name in referenced_names(tree, name) for tree in trees)
+    }
+    assert sorted(uncalled) == sorted(EXPORTED_FOR_THE_PAPER)
