@@ -254,6 +254,18 @@ class TestCumulativeChecks:
         report = check_hibi((1, 0, 0, 1))
         assert 0 in report
 
+    @settings(max_examples=300, deadline=None)
+    @given(exponent_lists())
+    def test_stanley_equivalence(self, e):
+        delta = delta_from_exponents(e)
+        assert bool(check_stanley(delta)) == bool(stanley_exponents(e))
+
+    @settings(max_examples=300, deadline=None)
+    @given(exponent_lists())
+    def test_hibi_equivalence(self, e):
+        delta = delta_from_exponents(e)
+        assert bool(check_hibi(delta)) == bool(hibi_exponents(e))
+
     def test_running_sums_match_the_slice_sum_definition(self):
         def stanley(delta):
             s = max(i for i, x in enumerate(delta) if x != 0)
