@@ -116,8 +116,8 @@ def _case(e: ExponentList):
     """Case of an exponent list and its coefficient formula, from one lookup of its multiplicity pattern."""
     pattern = tuple(len(list(run)) for _, run in groupby(e.values))
     found = _cases(e.m).get(pattern)
-    if found is None:
-        raise ValueError(f"no case matches multiplicity pattern {pattern}")
+    if found is None:  # the pairing makes the pattern a palindrome, and the table holds every one
+        raise AssertionError(f"no case matches multiplicity pattern {pattern}")
     label, formula = found
     return CaseId(label, _viii_sign(*e.values) if label == "viii" else None), formula
 

@@ -135,19 +135,24 @@ def test_library_inputs_are_integers_only(call):
     "call, message",
     [
         (lambda: witness((1,) * 11, 11), "covers volumes 5 and 7 only"),
-        (lambda: _case(ExponentList((1, 2, 3, 3), 3)), r"no case matches multiplicity pattern \(1, 1, 2\)"),
         (lambda: enumerate_admissible(11, 3), "covers volumes 5 and 7 only"),
         (lambda: exact_det([]), "matrix must be nonempty"),
         (lambda: row_hermite_form([[0, 0], [0, 0]]), "matrix is singular"),
         (lambda: HNFSpec(5, (0, 0, 0, 0), 0), "dimension must be >= 1"),
         (lambda: ExponentList((0,), 1), r"exponents must lie in \[1, dim\]"),
     ],
-    ids=["case-volume-11", "case-pattern-112", "enumerate-volume-11", "det-empty", "hermite-singular",
+    ids=["case-volume-11", "enumerate-volume-11", "det-empty", "hermite-singular",
          "spec-dim-0", "exponent-0"],
 )
 def test_library_refuses_values_outside_its_contract(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_unmatched_pattern_is_an_internal_error():
+    """No admissible list reaches an unmatched pattern, so the lookup is a contract check, not an input error."""
+    with pytest.raises(AssertionError, match=r"no case matches multiplicity pattern \(1, 1, 2\)"):
+        _case(ExponentList((1, 2, 3, 3), 3))
 
 
 class TestPairing:

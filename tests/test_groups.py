@@ -1,7 +1,7 @@
 """The character sweep of `groups`, held to the vertex matrices of `classify` as its geometric reference."""
 
+import sys
 import time
-from collections import Counter
 from math import comb
 
 import pytest
@@ -16,6 +16,8 @@ SEARCHED = [
     (1, 2), (1, 5), (1, 7), (1, 9), (2, 5), (2, 7), (2, 12), (2, 180), (3, 5), (3, 7),
     (3, 8), (3, 11), (3, 30), (4, 5), (4, 6), (3, 9), (3, 12), (5, 5),
     (3, 16), (2, 24), (3, 24), (4, 8), (5, 7), (4, 11), (3, 36), (4, 16), (2, 1), (3, 1),
+    # (d+1)(vol-1) = 254, 256, 255, 258: lane sums on either side of the switch from 1-byte to 2-byte lanes
+    (1, 128), (1, 129), (2, 86), (2, 87),
 ]
 # (1, 1, 1, p-5, 1, 1) at p = 11, 13 and (1, 1, p-3, 1) at p = 23: pairing and superadditivity
 # admit them, no simplex realizes them
@@ -46,19 +48,32 @@ def test_refused_before_any_work(monkeypatch, d, vol, budget):
 
 @pytest.mark.parametrize("d, vol", [(1, 12), (2, 24), (3, 8), (3, 16), (3, 36), (4, 12), (5, 7)])
 def test_estimate_bounds_the_work_done(monkeypatch, d, vol):
-    """Counted work: 2 vol values per table row built (`_row` passes), (d+1) vol per histogram."""
+    """Counted work: 2 vol values per table row (`_table`), (d+1) vol per histogram (`_unpack`)."""
     rows, histograms = [], []
-    real_row = groups._row
-    monkeypatch.setattr(groups, "_row", lambda *args: rows.append(1) or real_row(*args))
-    monkeypatch.setattr(groups, "Counter", lambda ages: histograms.append(1) or Counter(ages))
+    real_table, real_unpack = groups._table, groups._unpack
+
+    def table(*args):
+        built = real_table(*args)
+        rows.append(len(built))
+        return built
+
+    monkeypatch.setattr(groups, "_table", table)
+    monkeypatch.setattr(groups, "_unpack", lambda *args: histograms.append(1) or real_unpack(*args))
     found = exhaustive_search(d, vol)
-    done = len(rows) * 2 * vol + len(histograms) * (d + 1) * vol
+    done = sum(rows) * 2 * vol + len(histograms) * (d + 1) * vol
     cyclic = refusal(d, vol, 0)  # the first gate counts the cyclic type alone
     several = len(list(groups._invariant_factors(vol, d))) > 1
     estimate = refusal(d, vol, cyclic) if several else cyclic
     assert estimate >= done
     assert refusal(d, vol, estimate - 1) == estimate
     assert exhaustive_search(d, vol, budget=estimate) == found
+
+
+def test_dimension_is_not_bounded_by_the_recursion_limit():
+    """At volume 2 the one nonzero element has age k when 2k of the d+1 characters are nonzero."""
+    d = sys.getrecursionlimit() + 10
+    deltas = {(1,) + (0,) * (k - 1) + (1,) + (0,) * (d - k) for k in range(1, (d + 3) // 2)}
+    assert exhaustive_search(d, 2) == tuple(sorted(deltas))
 
 
 def test_types_are_the_invariant_factor_chains_of_bounded_length():

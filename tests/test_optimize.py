@@ -46,6 +46,11 @@ FAULTS = {
         "lambda: classify.witness((1, 0, 4, 0), 5), lambda: classify.enumerate_admissible(5, 3)",
         "that are negative or sum past",
     ),
+    "witness-pattern-unmatched": (
+        "del classify._PATTERN_CASES[5][(4,)]",
+        "lambda: classify.witness((1, 0, 4, 0), 5), lambda: classify.enumerate_admissible(5, 3)",
+        "no case matches multiplicity pattern (4,)",
+    ),
     "closed-form-exponent-range": (
         "spec = classify.HNFSpec(5, (0, 0, 0, 0), 1)._replace(coeffs=(0, 4, 0, 0))  # past the sum check of HNFSpec",
         "lambda: classify.closed_form_delta(spec)",
@@ -134,6 +139,7 @@ def test_internal_fault_exits_4_under_optimize(tmp_path):
     triangle.write_text('{"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 3, 5]]}')
     for fault, argv, phrase in (
         (FAULTS["witness-closed-form"][0], ["classify", "--delta", "1,0,4,0", "--volume", "5"], "not the requested one"),
+        (FAULTS["witness-pattern-unmatched"][0], ["classify", "--delta", "1,0,4,0", "--volume", "5"], "no case matches"),
         (FAULTS["interior-off-by-one"][0], ["oracle", "--simplex", str(triangle)], "reciprocity fails"),
         (FAULTS["closed-count-off-by-one"][0], ["oracle", "--simplex", str(triangle)], "closed count fails"),
         (FAULTS["interior-off-by-one"][0], ["verify", "--simplex", str(triangle)], "reciprocity fails"),
