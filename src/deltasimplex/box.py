@@ -3,14 +3,31 @@
 These points form a finite abelian group under coordinate-wise fractional
 addition of their coefficient vectors; counting them by degree yields the
 delta-vector.
+
+The group is walked in pieces of at most `PIECE` elements. For each
+coordinate, a piece is one Python int of fixed-width lanes, lane k holding
+that coordinate's numerator of the piece's k-th element. The lane is the
+narrowest of 1, 2, 4 or 8 bytes that holds 2(d+1) den, den the largest
+invariant factor, so h = 2**(bits-1) >= (d+1) den. Numerators lie in
+[0, den), so the sum of two stays below 2 den and the sum of the d+1
+coordinates is at most (d+1)(den-1) < h: adding rows never carries from one
+lane into the next. The other half of the lane is headroom for a compare:
+adding h - t to a lane x with 0 < t <= h and x < h + t sets its top bit
+exactly where x >= t, and never carries out of the lane. So a lane-wise
+reduction mod den, or a count of the lanes >= t, is a few big-int operations
+and at most one popcount, and no lane is unpacked.
 """
 
-from collections import Counter, namedtuple
-from itertools import chain, cycle, repeat
+import sys
+from array import array
+from collections import namedtuple
+from itertools import chain, product, repeat
 from math import prod
-from operator import add, mod
+from operator import sub
 
 from .lattice import Simplex, smith_normal_form
+
+PIECE = 512  # most group elements in one piece: the lanes of one packed row
 
 
 class BoxPoint(namedtuple("BoxPoint", "numerators denominator degree")):
@@ -23,21 +40,36 @@ class BoxPoint(namedtuple("BoxPoint", "numerators denominator degree")):
     __slots__ = ()
 
 
-def _box_coordinates(s: Simplex):
-    """Group denominator and, one coordinate at a time, the numerators of every group element.
+def _pack(values, code: str) -> int:
+    """The values as one int of lanes the size of an array item of type `code`, in the host's byte order."""
+    return int.from_bytes(array(code, values).tobytes(), sys.byteorder)
+
+
+def _unpack(packed: int, lanes: int, code: str) -> list:
+    """The `lanes` lanes of a `_pack`ed int, as a list in item order."""
+    return memoryview(packed.to_bytes(lanes * array(code).itemsize, sys.byteorder)).cast(code).tolist()
+
+
+def _box_pieces(s: Simplex):
+    """Group denominator, lane type, lanes per piece, and a generator of the group in pieces.
 
     The coefficient vectors r with sum_i r_i (v_i, 1) integral form a lattice
     between Z^(d+1) and its rational superlattice; the Smith normal form of
     the transposed homogenized vertex matrix gives generators g_j of the
     quotient (column j of its right transform over s_j, which its membership
     check puts in the lattice), of orders o_j whose product is the normalized
-    volume. Element k of the product of the ranges [0, o_j) is
-    sum_j k_j g_j mod den. The returned generator yields, for each coordinate
-    i, a lazy iterator over the coordinate-i numerators of all elements, in
-    the same element order for every i. Adding generator j buffers the
-    o_1 ... o_(j-1) earlier values in a `cycle`, so an iterator holds no value
-    when the group is cyclic and fewer than 2V/s_n values otherwise, where V
-    is the volume and s_n = den the largest order.
+    volume. The elements are the sums sum_j k_j g_j mod den, k_j in [0, o_j).
+
+    The lanes of a piece span the generators from the largest order down:
+    each in full while the product `inner` of their orders fits in `PIECE`,
+    then the first `PIECE // inner` multiples of the next one, the split
+    generator. Each piece is that base block plus one offset, reduced mod den
+    lane by lane: a start on the split generator plus a coset, a sum of
+    multiples of the remaining generators. The generator yields (width, rows):
+    the number of elements in the piece and one list holding, for each
+    coordinate, the packed row of their numerators, refilled for the next
+    piece. Only the last piece along the split generator is narrower than the
+    rows; its spare lanes hold elements of other pieces.
     """
     d = s.dim
     snf = smith_normal_form(tuple(zip(*s.homogeneous_matrix())))
@@ -52,23 +84,45 @@ def _box_coordinates(s: Simplex):
         generators.append((column, order))
     if prod(order for _, order in generators) != s.normalized_volume:
         raise AssertionError("box group order differs from the normalized volume")
+    code = next((c for c in "BHIQ" if 2 * (d + 1) * den <= 1 << 8 * array(c).itemsize), None)
+    if code is None:
+        # the group then has more than 2**63 / (d+1) elements: no walk of them would finish
+        raise ValueError(f"box group of exponent {den} in dimension {d} needs lanes wider than 8 bytes")
 
-    def coordinates():
-        for i in range(d + 1):
-            values, size = (0,), 1
-            for column, order in generators:
-                step = column[i]
-                multiples = range(0, step * order, step) if step else repeat(0, order)
-                # element e + size * k_j, e indexing the earlier generators: the earlier
-                # values cycle while each multiple of g_j repeats size times; adding the
-                # first generator's multiples to (0,) would only copy them
-                values = multiples if size == 1 else map(
-                    add, cycle(values), chain.from_iterable(map(repeat, multiples, repeat(size)))
-                )
-                size *= order
-            yield map(mod, values, repeat(den))
+    rest = generators[::-1]
+    block, inner = [], 1
+    while rest and inner * rest[0][1] <= PIECE:
+        block.append(rest.pop(0))
+        inner *= block[-1][1]
+    split, order, chunk = (0,) * (d + 1), 1, 1
+    if rest:
+        (split, order), chunk = rest.pop(0), PIECE // inner
+        block.append((split, chunk))
 
-    return den, coordinates()
+    bases = []
+    for i in range(d + 1):
+        row = [0]
+        for column, multiples in block:
+            row = [(x + column[i] * k) % den for k in range(multiples) for x in row]
+        bases.append(_pack(row, code))
+
+    def pieces():
+        bits = 8 * array(code).itemsize
+        ones = _pack(repeat(1, inner * chunk), code)
+        top, low = ones << bits - 1, ones * ((1 << bits - 1) - den)
+        rows = bases[:]  # refilled in place, so one piece's rows are alive at a time
+        for ks in product(*(range(o) for _, o in rest)):
+            coset = [sum(k * column[i] for k, (column, _) in zip(ks, rest)) for i in range(d + 1)]
+            for start in range(0, order, chunk):
+                for i, base in enumerate(bases):
+                    offset = (coset[i] + start * split[i]) % den
+                    if offset:
+                        base += ones * offset
+                        base -= ((base + low & top) >> bits - 1) * den
+                    rows[i] = base
+                yield inner * min(chunk, order - start), rows
+
+    return den, code, inner * chunk, pieces()
 
 
 def _check_degree(total: int, den: int, dim: int) -> int:
@@ -91,12 +145,15 @@ def _check_identity(delta0: int) -> None:
 
 
 def enumerate_box(s: Simplex) -> tuple[BoxPoint, ...]:
-    """All parallelepiped points of a simplex, in canonical (lexicographic) order, identity first."""
-    den, coordinates = _box_coordinates(s)
-    points = tuple(
-        BoxPoint(nums, den, _check_degree(sum(nums), den, s.dim))
-        for nums in sorted(zip(*coordinates))
-    )
+    """All parallelepiped points of a simplex, in canonical (lexicographic) order, identity first.
+
+    Each piece's rows are unpacked lane by lane and zipped into numerator tuples.
+    """
+    den, code, lanes, pieces = _box_pieces(s)
+    numerators = []
+    for width, rows in pieces:
+        numerators += zip(*(_unpack(row, lanes, code)[:width] for row in rows))
+    points = tuple(BoxPoint(nums, den, _check_degree(sum(nums), den, s.dim)) for nums in sorted(numerators))
     _check_identity(sum(1 for p in points if p.degree == 0))
     return points
 
@@ -104,18 +161,41 @@ def enumerate_box(s: Simplex) -> tuple[BoxPoint, ...]:
 def delta_from_box(s: Simplex) -> tuple[int, ...]:
     """Delta-vector of a simplex: entry i counts parallelepiped points of degree i.
 
-    The coordinate streams are added into one stream of per-element totals
-    that the degree count consumes, so no per-element tuple and no list of
-    volume length is built: memory is O(d) for a cyclic group and fewer
-    than 2(d+1)V/s_n values otherwise (see `_box_coordinates`).
+    A piece's d+1 rows are added into one int of per-element totals, which is
+    never unpacked. For each degree j <= d, the lanes >= j den and the lanes
+    >= j den + 1 are counted, each with one subtraction, one mask of the top
+    bits and one `int.bit_count`; their difference counts the lanes equal to
+    j den. A total is a multiple of den in [0, d den] exactly when it is one
+    of these, so the piece is valid iff the counts add up to its width; if
+    not, its totals are unpacked to name the first bad one. Memory is
+    O(PIECE (d+1)) lanes for every group type.
     """
-    den, coordinates = _box_coordinates(s)
-    totals = next(coordinates)
-    for values in coordinates:
-        totals = map(add, totals, values)
-    delta = [0] * (s.dim + 1)
-    for total, count in Counter(totals).items():
-        delta[_check_degree(total, den, s.dim)] += count
+    den, code, lanes, pieces = _box_pieces(s)
+    d = s.dim
+    half = 1 << 8 * array(code).itemsize - 1
+    ones = _pack(repeat(1, lanes), code)
+    above_one, gap = ones * (half - 1), ones * (den - 1)
+    tops = {}
+    delta = [0] * (d + 1)
+    for width, rows in pieces:
+        top = tops.get(width)
+        if top is None:
+            top = tops[width] = _pack(chain(repeat(half, width), repeat(0, lanes - width)), code)
+        total = sum(rows)
+        # lane + half - t has its top bit set iff lane >= t; t runs 1, den, den + 1, 2 den, ...
+        shifted = total + above_one
+        at_least = [width, (shifted & top).bit_count()]
+        for _ in range(d):
+            shifted -= gap
+            at_least.append((shifted & top).bit_count())
+            shifted -= ones
+            at_least.append((shifted & top).bit_count())
+        exact = list(map(sub, at_least[::2], at_least[1::2]))
+        if sum(exact) != width:
+            for value in _unpack(total, lanes, code)[:width]:
+                _check_degree(value, den, d)
+        for j, count in enumerate(exact):
+            delta[j] += count
     _check_identity(delta[0])
     if sum(delta) != s.normalized_volume:
         raise AssertionError("box degree counts do not sum to the normalized volume")

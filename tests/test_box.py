@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -20,6 +21,11 @@ import deltasimplex.box
 from conftest import box_add, box_inverse, random_simplex
 
 SEGMENT5 = Simplex(((0,), (5,)))
+
+
+def doubled_standard_simplex(d):
+    """2 Delta_d: vertices 0 and 2 e_i. Its group is (Z/2)^d, and delta_i = C(d+1, 2i)."""
+    return Simplex(tuple([(0,) * d] + [tuple(2 * (j == i) for j in range(d)) for i in range(d)]))
 TRIANGLE235 = Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 3, 5)))
 
 
@@ -199,6 +205,60 @@ class TestDelta:
         assert peak < 64 * 1024, peak
         assert delta == closed_form_delta(spec)
 
+    def test_noncyclic_group_in_constant_memory(self):
+        # (Z/2)^14 has 16384 elements and fourteen generators: most of them offset whole pieces
+        tracemalloc.start()
+        try:
+            delta = delta_from_box(doubled_standard_simplex(14))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+        assert delta == tuple(comb(15, 2 * i) for i in range(15))
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_doubled_standard_simplex(self, d):
+        # past d = 9 the group outgrows one piece, so the last generators offset whole pieces
+        s = doubled_standard_simplex(d)
+        assert delta_from_box(s) == tuple(comb(d + 1, 2 * i) for i in range(d + 1))
+        assert Counter(p.degree for p in enumerate_box(s)) == {i: comb(d + 1, 2 * i) for i in range((d + 1) // 2 + 1)}
+
+    # A piece's rows are summed and compared lane by lane, so a lane must hold
+    # 2(d+1) den: 1 byte up to 2**8, 2 bytes up to 2**16. At d = 3, m = 31, 32, 33
+    # and 8191, 8192, 8193 put 2(d+1) den just below, at and just above these
+    # limits; m = 63, 64, 65 and 16383, 16384, 16385 put (d+1) den there, where a
+    # lane without the headroom for the compare would carry into its neighbour.
+    @pytest.mark.parametrize("m", [31, 32, 33, 63, 64, 65, 8191, 8192, 8193, 16383, 16384, 16385])
+    def test_lane_width_boundaries_on_the_family(self, m):
+        spec = HNFSpec(m, tuple(int(j in (1, m - 2)) for j in range(1, m)), 3)
+        assert delta_from_box(build_simplex(spec)) == closed_form_delta(spec)
+
+    @pytest.mark.parametrize("m", [63, 64, 65, 16383, 16384, 16385])
+    def test_lane_width_boundaries_on_segments(self, m):
+        s = Simplex(((0,), (m,)))
+        assert delta_from_box(s) == ehrhart_delta(s)
+
+    @pytest.mark.parametrize("route", [delta_from_box, enumerate_box])
+    def test_group_too_large_for_8_byte_lanes(self, route):
+        # 2 (d+1) den = 2**65: refused before any element is built
+        with pytest.raises(ValueError, match="needs lanes wider than 8 bytes"):
+            route(Simplex(((0,), (2**63,))))
+
+
+class TestPieces:
+    """Pieces narrower than the group: partial last pieces, split generators and coset offsets."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7])
+    @pytest.mark.parametrize("dim, volume", [(3, 8), (3, 12), (2, 16), (4, 4), (3, 11)])
+    def test_any_piece_width_gives_the_same_group(self, monkeypatch, width, dim, volume):
+        # every group here fits in one default piece, which the routes test holds to ehrhart_delta
+        for s in iter_hnf_simplices(dim, volume):
+            points, delta = enumerate_box(s), delta_from_box(s)
+            with monkeypatch.context() as patch:
+                patch.setattr(deltasimplex.box, "PIECE", width)
+                assert enumerate_box(s) == points
+                assert delta_from_box(s) == delta
+
 
 # The simplex has group Z/4; doubling the generator column makes it generate
 # only a subgroup of order 2, which an unchecked count would report as (1, 1, 0).
@@ -220,3 +280,22 @@ class TestBrokenSNF:
     def test_raises_in_process(self, broken_snf, route):
         with pytest.raises(AssertionError):
             route(Simplex(BROKEN_SNF_SIMPLEX))
+
+
+class TestOffLatticeColumn:
+    """A generator column off the lattice gives points whose coefficients sum to a fraction."""
+
+    @pytest.fixture
+    def off_lattice(self, monkeypatch):
+        real = deltasimplex.box.smith_normal_form
+
+        def shifted_last_column(matrix):
+            snf = real(matrix)
+            return snf._replace(right=(snf.right[0][:-1] + (snf.right[0][-1] + 1,),) + snf.right[1:])
+
+        monkeypatch.setattr(deltasimplex.box, "smith_normal_form", shifted_last_column)
+
+    @pytest.mark.parametrize("route", [delta_from_box, enumerate_box])
+    def test_raises_in_process(self, off_lattice, route):
+        with pytest.raises(AssertionError, match="not an integer"):
+            route(TRIANGLE235)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import deltasimplex.box
 import deltasimplex.classify
 import deltasimplex.cli
 import deltasimplex.ehrhart
@@ -526,6 +527,16 @@ def _overflowing_case_i(monkeypatch):
     )
 
 
+def _off_lattice_column(monkeypatch):
+    real = deltasimplex.box.smith_normal_form
+
+    def shifted_last_column(matrix):
+        snf = real(matrix)
+        return snf._replace(right=(snf.right[0][:-1] + (snf.right[0][-1] + 1,),) + snf.right[1:])
+
+    monkeypatch.setattr(deltasimplex.box, "smith_normal_form", shifted_last_column)
+
+
 class TestContractFault:
     """A contract check that fails on the product path is an internal error: exit 4, one error object."""
 
@@ -536,6 +547,12 @@ class TestContractFault:
                                        "reciprocity fails at (n, counted, predicted) = (1, 1, 0)"),
         "classify-overflowing-witness": (["classify", "--delta", "1,0,4,0", "--volume", "5"], _overflowing_case_i,
                                          "case i gave coefficients (0, 7, 1, 0) that are negative or sum past 2"),
+        # the triangle's group is Z/5; the shifted generator (0, 3, 2, 1)/5 is off the
+        # lattice, so its multiple 1 (element order) and 2 (canonical order) sum to 6/5, 7/5
+        "delta-off-lattice": (["delta", "--simplex", "{triangle}"], _off_lattice_column,
+                              "box point coefficients sum to 6/5, not an integer"),
+        "box-off-lattice": (["box", "--simplex", "{triangle}"], _off_lattice_column,
+                            "box point coefficients sum to 7/5, not an integer"),
     }
 
     @pytest.mark.parametrize("name", CASES)

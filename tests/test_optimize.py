@@ -39,6 +39,15 @@ DOUBLED_LAST_COLUMN = (
     ")(real(m))\n"
 )
 
+# adds 1 to the first entry of the last column of the SNF's right transform, which
+# moves the last generator off the lattice: some of its multiples have fractional degree
+SHIFTED_LAST_COLUMN = (
+    "real = box.smith_normal_form\n"
+    "box.smith_normal_form = lambda m: (\n"
+    "    lambda snf: snf._replace(right=(snf.right[0][:-1] + (snf.right[0][-1] + 1,),) + snf.right[1:])\n"
+    ")(real(m))\n"
+)
+
 # fault, calls that must raise, a phrase of the raising check's message
 FAULTS = {
     "witness-coefficients-overflow": (
@@ -68,12 +77,17 @@ FAULTS = {
         "lambda: box.delta_from_box(broken), lambda: box.enumerate_box(broken)",
         "box points of degree 0; the generators are not independent",
     ),
-    # the group is Z/2 x Z/2, so the last generator is added through `cycle`; doubled,
-    # it is 0 and every element of the first generator's subgroup is counted twice
+    # the group is Z/2 x Z/2, so both generators share the lanes of one piece; doubled,
+    # the last is 0 and every element of the other generator's subgroup is counted twice
     "box-noncyclic-generators-not-independent": (
         DOUBLED_LAST_COLUMN + "broken = Simplex(((0, 0), (2, 0), (0, 2)))",
         "lambda: box.delta_from_box(broken), lambda: box.enumerate_box(broken)",
         "box points of degree 0; the generators are not independent",
+    ),
+    "box-off-lattice": (
+        SHIFTED_LAST_COLUMN + "broken = Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 3, 5)))",
+        "lambda: box.delta_from_box(broken), lambda: box.enumerate_box(broken)",
+        "not an integer",
     ),
     "snf-membership": (
         "real = lattice.mat_mul\n"
