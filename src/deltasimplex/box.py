@@ -5,26 +5,17 @@ addition of their coefficient vectors; counting them by degree yields the
 delta-vector.
 
 The group is walked in pieces of at most `PIECE` elements. For each
-coordinate, a piece is one Python int of fixed-width lanes, lane k holding
-that coordinate's numerator of the piece's k-th element. The lane is the
-narrowest of 1, 2, 4 or 8 bytes that holds 2(d+1) den, den the largest
-invariant factor, so h = 2**(bits-1) >= (d+1) den. Numerators lie in
-[0, den), so the sum of two stays below 2 den and the sum of the d+1
-coordinates is at most (d+1)(den-1) < h: adding rows never carries from one
-lane into the next. The other half of the lane is headroom for a compare:
-adding h - t to a lane x with 0 < t <= h and x < h + t sets its top bit
-exactly where x >= t, and never carries out of the lane. So a lane-wise
-reduction mod den, or a count of the lanes >= t, is a few big-int operations
-and at most one popcount, and no lane is unpacked.
+coordinate, a piece is one packed row of `lanes` (modulus den, the largest
+invariant factor; d+1 terms), lane k holding that coordinate's numerator of
+the piece's k-th element. Adding a piece's d+1 rows gives per-element totals
+that no lane carries out of.
 """
 
-import sys
-from array import array
 from collections import namedtuple
-from itertools import chain, product, repeat
+from itertools import product
 from math import prod
-from operator import sub
 
+from .lanes import RowFormat
 from .lattice import Simplex, smith_normal_form
 
 PIECE = 512  # most group elements in one piece: the lanes of one packed row
@@ -40,18 +31,8 @@ class BoxPoint(namedtuple("BoxPoint", "numerators denominator degree")):
     __slots__ = ()
 
 
-def _pack(values, code: str) -> int:
-    """The values as one int of lanes the size of an array item of type `code`, in the host's byte order."""
-    return int.from_bytes(array(code, values).tobytes(), sys.byteorder)
-
-
-def _unpack(packed: int, lanes: int, code: str) -> list:
-    """The `lanes` lanes of a `_pack`ed int, as a list in item order."""
-    return memoryview(packed.to_bytes(lanes * array(code).itemsize, sys.byteorder)).cast(code).tolist()
-
-
 def _box_pieces(s: Simplex):
-    """Group denominator, lane type, lanes per piece, and a generator of the group in pieces.
+    """Group denominator, row format, and a generator of the group in pieces.
 
     The coefficient vectors r with sum_i r_i (v_i, 1) integral form a lattice
     between Z^(d+1) and its rational superlattice; the Smith normal form of
@@ -63,7 +44,7 @@ def _box_pieces(s: Simplex):
     The lanes of a piece span the generators from the largest order down:
     each in full while the product `inner` of their orders fits in `PIECE`,
     then the first `PIECE // inner` multiples of the next one, the split
-    generator. Each piece is that base block plus one offset, reduced mod den
+    generator. Each piece is that base block plus one offset, added mod den
     lane by lane: a start on the split generator plus a coset, a sum of
     multiples of the remaining generators. The generator yields (width, rows):
     the number of elements in the piece and one list holding, for each
@@ -84,10 +65,6 @@ def _box_pieces(s: Simplex):
         generators.append((column, order))
     if prod(order for _, order in generators) != s.normalized_volume:
         raise AssertionError("box group order differs from the normalized volume")
-    code = next((c for c in "BHIQ" if 2 * (d + 1) * den <= 1 << 8 * array(c).itemsize), None)
-    if code is None:
-        # the group then has more than 2**63 / (d+1) elements: no walk of them would finish
-        raise ValueError(f"box group of exponent {den} in dimension {d} needs lanes wider than 8 bytes")
 
     rest = generators[::-1]
     block, inner = [], 1
@@ -98,31 +75,23 @@ def _box_pieces(s: Simplex):
     if rest:
         (split, order), chunk = rest.pop(0), PIECE // inner
         block.append((split, chunk))
-
-    bases = []
-    for i in range(d + 1):
-        row = [0]
-        for column, multiples in block:
-            row = [(x + column[i] * k) % den for k in range(multiples) for x in row]
-        bases.append(_pack(row, code))
+    # past 8-byte lanes the group has more than 2**63 / (d+1) elements: no walk of them would finish
+    lanes = RowFormat(inner * chunk, den, d + 1, f"box group of exponent {den} in dimension {d}")
+    # in `product` order the last generator of the block varies slowest: the split one, if any
+    orders = [multiples for _, multiples in reversed(block)]
+    bases = [lanes.row([column[i] for column, _ in reversed(block)], orders) for i in range(d + 1)]
 
     def pieces():
-        bits = 8 * array(code).itemsize
-        ones = _pack(repeat(1, inner * chunk), code)
-        top, low = ones << bits - 1, ones * ((1 << bits - 1) - den)
         rows = bases[:]  # refilled in place, so one piece's rows are alive at a time
         for ks in product(*(range(o) for _, o in rest)):
             coset = [sum(k * column[i] for k, (column, _) in zip(ks, rest)) for i in range(d + 1)]
             for start in range(0, order, chunk):
                 for i, base in enumerate(bases):
                     offset = (coset[i] + start * split[i]) % den
-                    if offset:
-                        base += ones * offset
-                        base -= ((base + low & top) >> bits - 1) * den
-                    rows[i] = base
+                    rows[i] = lanes.add(base, lanes.ones * offset) if offset else base
                 yield inner * min(chunk, order - start), rows
 
-    return den, code, inner * chunk, pieces()
+    return den, lanes, pieces()
 
 
 def _check_degree(total: int, den: int, dim: int) -> int:
@@ -149,10 +118,10 @@ def enumerate_box(s: Simplex) -> tuple[BoxPoint, ...]:
 
     Each piece's rows are unpacked lane by lane and zipped into numerator tuples.
     """
-    den, code, lanes, pieces = _box_pieces(s)
+    den, lanes, pieces = _box_pieces(s)
     numerators = []
     for width, rows in pieces:
-        numerators += zip(*(_unpack(row, lanes, code)[:width] for row in rows))
+        numerators += zip(*(lanes.unpack(row)[:width] for row in rows))
     points = tuple(BoxPoint(nums, den, _check_degree(sum(nums), den, s.dim)) for nums in sorted(numerators))
     _check_identity(sum(1 for p in points if p.degree == 0))
     return points
@@ -162,37 +131,20 @@ def delta_from_box(s: Simplex) -> tuple[int, ...]:
     """Delta-vector of a simplex: entry i counts parallelepiped points of degree i.
 
     A piece's d+1 rows are added into one int of per-element totals, which is
-    never unpacked. For each degree j <= d, the lanes >= j den and the lanes
-    >= j den + 1 are counted, each with one subtraction, one mask of the top
-    bits and one `int.bit_count`; their difference counts the lanes equal to
-    j den. A total is a multiple of den in [0, d den] exactly when it is one
-    of these, so the piece is valid iff the counts add up to its width; if
-    not, its totals are unpacked to name the first bad one. Memory is
+    never unpacked: `RowFormat.multiples` counts its lanes equal to j den for
+    each degree j <= d. A total is a multiple of den in [0, d den] exactly when
+    it is one of these, so the piece is valid iff the counts add up to its
+    width; if not, its totals are unpacked to name the first bad one. Memory is
     O(PIECE (d+1)) lanes for every group type.
     """
-    den, code, lanes, pieces = _box_pieces(s)
+    den, lanes, pieces = _box_pieces(s)
     d = s.dim
-    half = 1 << 8 * array(code).itemsize - 1
-    ones = _pack(repeat(1, lanes), code)
-    above_one, gap = ones * (half - 1), ones * (den - 1)
-    tops = {}
     delta = [0] * (d + 1)
     for width, rows in pieces:
-        top = tops.get(width)
-        if top is None:
-            top = tops[width] = _pack(chain(repeat(half, width), repeat(0, lanes - width)), code)
         total = sum(rows)
-        # lane + half - t has its top bit set iff lane >= t; t runs 1, den, den + 1, 2 den, ...
-        shifted = total + above_one
-        at_least = [width, (shifted & top).bit_count()]
-        for _ in range(d):
-            shifted -= gap
-            at_least.append((shifted & top).bit_count())
-            shifted -= ones
-            at_least.append((shifted & top).bit_count())
-        exact = list(map(sub, at_least[::2], at_least[1::2]))
+        exact = lanes.multiples(total, width)
         if sum(exact) != width:
-            for value in _unpack(total, lanes, code)[:width]:
+            for value in lanes.unpack(total)[:width]:
                 _check_degree(value, den, d)
         for j, count in enumerate(exact):
             delta[j] += count

@@ -6,21 +6,18 @@ A that sum to zero and separate A: only the identity has every chi_l(g) = 0.
 The age of g is the sum of the chi_l(g), each read in [0, 1), and delta_i
 counts the g of age i (Batyrev and Hofscheier, "Lattice polytopes, finite
 abelian subgroups in SL(n, C) and coding theory"). This is the
-parallelepiped group seen from its dual, so nothing here comes from the
-three delta-vector routes.
+parallelepiped group seen from its dual, computed by none of the three
+delta-vector routes; only the row format of `lanes` is shared with the box.
 
-A character's values on the N elements of A are packed into one Python int
-of N fixed-width lanes, lane g holding the numerator of chi(g) over the
-exponent e of A. The lane is the narrowest of 1, 2, 4 or 8 bytes that holds
-(d+1)(e-1), the largest sum of d+1 values below e, so adding the rows of
-d+1 characters is one big-int addition per row and no lane ever carries
-into the next.
+A character's values on the N elements of A are packed into one row of N
+lanes (modulus the exponent e of A; d+1 terms), lane g holding the
+numerator of chi(g) over e, so adding d+1 characters is one big-int
+addition per row and no lane ever carries into the next.
 """
 
-import sys
-from array import array
-from math import comb, prod
+from math import comb
 
+from .lanes import RowFormat
 from .lattice import DEFAULT_BUDGET, _as_int, within_budget
 
 
@@ -37,55 +34,21 @@ def _invariant_factors(n: int, most: int, least: int = 1):
                 yield (f,) + rest
 
 
-def _pack(values, code: str) -> int:
-    """The values as one int of lanes the size of an array item of type `code`, in the host's byte order.
-
-    On a little-endian host lane j holds item j; on a big-endian one, item len(values) - 1 - j.
-    """
-    return int.from_bytes(array(code, values).tobytes(), sys.byteorder)
-
-
-def _unpack(packed: int, size: int, code: str) -> list:
-    """The lanes of `size` bytes of a `_pack`ed int, as a list in item order."""
-    return memoryview(packed.to_bytes(size, sys.byteorder)).cast(code).tolist()
-
-
-def _row(a, factors, exponent: int, code: str) -> int:
-    """Character a on every element of Z/n_1 x ... x Z/n_r, in `product` order, packed.
-
-    Entry g is the numerator over the exponent n_r of sum_i a_i g_i / n_i, read
-    in [0, 1). The row is built one factor at a time, in passes of n_1,
-    n_1 n_2, ..., N values: fewer than 2N in all.
-    """
-    row = [0]
-    for a_i, n in zip(a, factors):
-        step = a_i * (exponent // n)
-        row = [(x + step * g) % exponent for x in row for g in range(n)]
-    return _pack(row, code)
-
-
-def _table(factors, exponent: int, code: str) -> list:
+def _table(factors, lanes: RowFormat) -> list:
     """The packed row of every character of Z/n_1 x ... x Z/n_r, in `product` order.
 
-    Only the unit characters are built by `_row`. Character a + e_i is
-    character a plus unit e_i, so the rows for factors i+1..r repeat n_i times,
-    each copy one unit further on. Each lane-wise add mod e is a few big-int
-    operations. Lanes hold values below e, and the caller's lanes hold
-    (d+1)(e-1) >= 2(e-1), so e <= 2**(bits-1): x + y in a lane does not
-    carry, adding 2**(bits-1) - e to it sets its top bit exactly where
-    x + y >= e, and e is subtracted from those lanes alone.
+    Only the unit characters are built by `RowFormat.row`: entry g of unit i
+    is the numerator over the exponent n_r of g_i / n_i, read in [0, 1).
+    Character a + e_i is character a plus unit e_i, so the rows for factors
+    i+1..r repeat n_i times, each copy one unit further on, one lane-wise add
+    mod e each.
     """
-    bits = 8 * array(code).itemsize
-    ones = _pack([1] * prod(factors), code)
-    top, bias = ones << bits - 1, ones * ((1 << bits - 1) - exponent)
     rows = [0]
     for i in reversed(range(len(factors))):
-        unit = _row([int(j == i) for j in range(len(factors))], factors, exponent, code)
+        unit = lanes.row([lanes.modulus // n * (j == i) for j, n in enumerate(factors)], factors)
         block = len(rows)
         for _ in range(factors[i] - 1):
-            for x in rows[-block:]:
-                s = x + unit
-                rows.append(s - ((s + bias & top) >> bits - 1) * exponent)
+            rows += [lanes.add(x, unit) for x in rows[-block:]]
     return rows
 
 
@@ -130,21 +93,23 @@ def exhaustive_search(d: int, vol: int, budget: int = DEFAULT_BUDGET) -> tuple[t
     the zero sum, kept only if it sorts last. The completing character is read
     from the packed sum of the d rows: at the unit element of factor i the
     lane holds digit_i * (e / n_i) with no reduction, and the completing digit
-    is -digit_i mod n_i. The ages of the d+1 rows' sum are counted lane by
-    lane: the multiset separates A iff only the identity has age 0, and then
-    delta_i is the number of lanes equal to i * e.
+    is -digit_i mod n_i. Every lane of the d+1 rows' sum is a multiple of e
+    in [0, d e], and `RowFormat.multiples` counts the lanes equal to each: the
+    multiset separates A iff only the identity has age 0, and then delta_i is
+    the number of lanes equal to i * e.
 
     The budget counts character values: for each type, at most 2 vol**2 for
     its table and (d+1) vol for each of its C(vol+d-1, d) sorted d-tuples.
     The table holds vol rows of vol lanes; it takes fewer than 2 vol values
     for each of its r unit rows and one lane-wise add for each other row, and
     2r <= vol + 1 since 2**r <= vol. A d-tuple reads r lanes to find its
-    completing character; a histogram reads the vol lanes once for the
-    separation test and once for each of the d ages. The big-int additions,
-    at most one per node of the prefix tree and one for the completing row,
-    work on whole machine words in C, several lanes at a time. The cyclic
-    type alone is gated first, so a huge volume is refused before it is
-    factored.
+    completing character. A histogram is charged vol values for each of its
+    d+1 counts, the separation test and the d ages; it makes 2d+1 passes of a
+    subtraction, a mask and a popcount. These passes and the big-int
+    additions, at most one per node of the prefix tree and one for the
+    completing row, work on whole machine words in C, several lanes at a
+    time. The cyclic type alone is gated first, so a huge volume is refused
+    before it is factored.
     """
     if min(_as_int(d), _as_int(vol)) < 1:
         raise ValueError("need d >= 1 and vol >= 1")
@@ -155,17 +120,13 @@ def exhaustive_search(d: int, vol: int, budget: int = DEFAULT_BUDGET) -> tuple[t
     found = set()
     for factors in types:
         exponent = factors[-1] if factors else 1
-        # past 8 bytes d or e would exceed 2**31, and neither the tuples nor the table would fit in memory
-        code = next(c for c in "BHIQ" if (d + 1) * (exponent - 1) < 1 << 8 * array(c).itemsize)
-        bits = 8 * array(code).itemsize
-        rows = _table(factors, exponent, code)
+        lanes = RowFormat(vol, exponent, d + 1, f"character group of exponent {exponent} in dimension {d}")
+        rows = _table(factors, lanes)
         units, stride = [], vol
         for n in factors:
             stride //= n
-            lane = stride if sys.byteorder == "little" else vol - 1 - stride
-            units.append((bits * lane, exponent // n, n, stride))
-        mask = (1 << bits) - 1
-        ages = range(exponent, d * exponent + 1, exponent)  # ages 1..d as lane values
+            units.append((lanes.offset(stride), exponent // n, n, stride))
+        mask = (1 << lanes.bits) - 1
         for start, prefix in _sorted_sums(rows, d - 1):
             for k in range(start, vol):
                 total = prefix + rows[k]
@@ -173,7 +134,7 @@ def exhaustive_search(d: int, vol: int, budget: int = DEFAULT_BUDGET) -> tuple[t
                 for shift, scale, n, stride in units:
                     last += -(total >> shift & mask) // scale % n * stride
                 if last >= k:
-                    lanes = _unpack(total + rows[last], bits // 8 * vol, code)
-                    if lanes.count(0) == 1:
-                        found.add((1, *map(lanes.count, ages)))
+                    ages = lanes.multiples(total + rows[last], vol)
+                    if ages[0] == 1:
+                        found.add(tuple(ages))
     return tuple(sorted(found))

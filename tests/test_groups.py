@@ -7,8 +7,11 @@ from math import comb
 import pytest
 
 import deltasimplex.groups as groups
-from deltasimplex import BudgetExceededError, delta_from_box, exhaustive_search, iter_hnf_simplices, run_all_checks
+from deltasimplex import (
+    BudgetExceededError, delta_from_box, ehrhart_delta, exhaustive_search, iter_hnf_simplices, run_all_checks,
+)
 from deltasimplex.cli import main
+from deltasimplex.lanes import RowFormat
 
 # non-cyclic groups among them have two, three and four invariant factors: Z/2 x Z/6 (2, 12),
 # Z/3 x Z/3 (3, 9), Z/2 x Z/2 x Z/2 (3, 8), Z/2 x Z/2 x Z/4 (3, 16), Z/6 x Z/6 (3, 36), Z/2^4 (4, 16)
@@ -16,8 +19,10 @@ SEARCHED = [
     (1, 2), (1, 5), (1, 7), (1, 9), (2, 5), (2, 7), (2, 12), (2, 180), (3, 5), (3, 7),
     (3, 8), (3, 11), (3, 30), (4, 5), (4, 6), (3, 9), (3, 12), (5, 5),
     (3, 16), (2, 24), (3, 24), (4, 8), (5, 7), (4, 11), (3, 36), (4, 16), (2, 1), (3, 1),
-    # (d+1)(vol-1) = 254, 256, 255, 258: lane sums on either side of the switch from 1-byte to 2-byte lanes
+    # (d+1)(vol-1) = 254, 256, 255, 258: lane sums on either side of 2**8, in 2-byte lanes
     (1, 128), (1, 129), (2, 86), (2, 87),
+    # (d+1) vol = 128, 130, 128, 132: the cyclic type on either side of the switch from 1-byte to 2-byte lanes
+    (1, 64), (1, 65), (3, 32), (3, 33),
 ]
 # (1, 1, 1, p-5, 1, 1) at p = 11, 13 and (1, 1, p-3, 1) at p = 23: pairing and superadditivity
 # admit them, no simplex realizes them
@@ -37,20 +42,26 @@ def test_sweep_equals_the_hnf_simplices(d, vol):
     assert exhaustive_search(d, vol) == tuple(sorted({delta_from_box(s) for s in iter_hnf_simplices(d, vol)}))
 
 
+@pytest.mark.parametrize("d, vol", [(3, 8), (3, 12), (2, 16), (4, 4)])
+def test_sweep_equals_dilate_counting_on_non_cyclic_groups(d, vol):
+    """`delta_from_box` shares the lane format with the sweep; counting the dilates shares nothing."""
+    assert exhaustive_search(d, vol) == tuple(sorted({ehrhart_delta(s) for s in iter_hnf_simplices(d, vol)}))
+
+
 @pytest.mark.parametrize("d, vol, budget", REFUSED)
 def test_refused_before_any_work(monkeypatch, d, vol, budget):
     def no_table(*args):
         raise AssertionError("a character table was built")
 
-    monkeypatch.setattr(groups, "_row", no_table)
+    monkeypatch.setattr(groups, "_table", no_table)
     assert refusal(d, vol, budget) > budget
 
 
 @pytest.mark.parametrize("d, vol", [(1, 12), (2, 24), (3, 8), (3, 16), (3, 36), (4, 12), (5, 7)])
 def test_estimate_bounds_the_work_done(monkeypatch, d, vol):
-    """Counted work: 2 vol values per table row (`_table`), (d+1) vol per histogram (`_unpack`)."""
+    """Counted work: 2 vol values per table row (`_table`), (d+1) vol per histogram (`RowFormat.multiples`)."""
     rows, histograms = [], []
-    real_table, real_unpack = groups._table, groups._unpack
+    real_table, real_multiples = groups._table, RowFormat.multiples
 
     def table(*args):
         built = real_table(*args)
@@ -58,7 +69,7 @@ def test_estimate_bounds_the_work_done(monkeypatch, d, vol):
         return built
 
     monkeypatch.setattr(groups, "_table", table)
-    monkeypatch.setattr(groups, "_unpack", lambda *args: histograms.append(1) or real_unpack(*args))
+    monkeypatch.setattr(RowFormat, "multiples", lambda *args: histograms.append(1) or real_multiples(*args))
     found = exhaustive_search(d, vol)
     done = sum(rows) * 2 * vol + len(histograms) * (d + 1) * vol
     cyclic = refusal(d, vol, 0)  # the first gate counts the cyclic type alone

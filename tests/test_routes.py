@@ -54,6 +54,21 @@ def test_no_route_imports_another():
             assert not parts & (set(ROUTES) - {module}), (module, source, name)
 
 
+def test_lane_format_lives_in_one_module():
+    """Only `lanes` packs rows: it alone imports `array`, reads `sys.byteorder`, or calls
+    `from_bytes`, `to_bytes` or `bit_count`. Of the routes only `box` imports it, and `classify` never."""
+    owners = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path.stem)):
+            if isinstance(node, ast.Attribute) and node.attr in {"byteorder", "from_bytes", "to_bytes", "bit_count"}:
+                owners.add((path.stem, node.attr))
+        owners.update((path.stem, "array") for source, name in imports(path.stem) if "array" in {source, name})
+    assert {module for module, _ in owners} == {"lanes"}, sorted(owners)
+    for module in ("ehrhart", "hnf", "classify"):
+        for source, name in imports(module):
+            assert "lanes" not in {source.lstrip(".").rsplit(".", 1)[-1], name}, (module, source, name)
+
+
 def test_counting_does_not_use_the_group():
     assert "smith_normal_form" not in imported_names("ehrhart")
 
