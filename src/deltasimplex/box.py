@@ -104,13 +104,15 @@ def _check_degree(total: int, den: int, dim: int) -> int:
     return degree
 
 
-def _check_identity(delta0: int) -> None:
+def _check_group(delta0: int, count: int, s: Simplex) -> None:
     # k -> sum_j k_j g_j mod den is a homomorphism, since o_j g_j = 0 mod den by
     # construction; only the identity has degree 0, so exactly one element of
     # degree 0 means the kernel is trivial: the elements are distinct, and the
-    # product of the orders, the volume, counts the whole group.
+    # product of the orders, the volume, counts the whole group, so the walk must meet that many.
     if delta0 != 1:
         raise AssertionError(f"{delta0} box points of degree 0; the generators are not independent")
+    if count != s.normalized_volume:
+        raise AssertionError("box degree counts do not sum to the normalized volume")
 
 
 def enumerate_box(s: Simplex) -> tuple[BoxPoint, ...]:
@@ -123,7 +125,7 @@ def enumerate_box(s: Simplex) -> tuple[BoxPoint, ...]:
     for width, rows in pieces:
         numerators += zip(*(lanes.unpack(row)[:width] for row in rows))
     points = tuple(BoxPoint(nums, den, _check_degree(sum(nums), den, s.dim)) for nums in sorted(numerators))
-    _check_identity(sum(1 for p in points if p.degree == 0))
+    _check_group(sum(1 for p in points if p.degree == 0), len(points), s)
     return points
 
 
@@ -148,7 +150,5 @@ def delta_from_box(s: Simplex) -> tuple[int, ...]:
                 _check_degree(value, den, d)
         for j, count in enumerate(exact):
             delta[j] += count
-    _check_identity(delta[0])
-    if sum(delta) != s.normalized_volume:
-        raise AssertionError("box degree counts do not sum to the normalized volume")
+    _check_group(delta[0], sum(delta), s)
     return tuple(delta)

@@ -5,7 +5,7 @@ are exact and overflow cannot happen silently. Text formats live in `cli`.
 """
 
 from collections import namedtuple
-from operator import sub
+from operator import mul, sub
 
 DEFAULT_BUDGET = 10**8
 
@@ -73,11 +73,6 @@ def exact_det(matrix) -> int:
     return sign * a[-1][-1]
 
 
-def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)] for i in range(n)]
-
-
 class SNFResult(namedtuple("SNFResult", "diagonal right")):
     """Smith form diagonal s_1 | s_2 | ... | s_n with a unimodular column transform.
 
@@ -102,9 +97,10 @@ def _least_entry(a, t):
 def smith_normal_form(matrix) -> SNFResult:
     """Smith normal form of a nonsingular square integer matrix; only `right` is tracked.
 
-    Before returning, also under `python -O`, it multiplies out matrix @ right
-    and checks that each column j is divisible by s_j (membership), and that
-    the diagonal is a divisibility chain.
+    Before returning, also under `python -O`, it checks that the diagonal is a
+    divisibility chain and that column j of matrix @ right is divisible by s_j
+    (membership). A column with s_j = 1 cannot fail that, so only the r <=
+    log2 |det| columns with s_j > 1 are multiplied out: r n^2 products, not n^3.
     """
     a = _int_matrix(matrix)
     n = len(a)
@@ -156,10 +152,11 @@ def smith_normal_form(matrix) -> SNFResult:
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
 
     diagonal = tuple(a[i][i] for i in range(n))
-    image = mat_mul(matrix, right)
     for j, s in enumerate(diagonal):
-        if any(row[j] % s for row in image):
-            raise AssertionError(f"Smith form column {j} of matrix @ right is not a multiple of {diagonal[j]}")
+        if s > 1:
+            column = [row[j] for row in right]
+            if any(sum(map(mul, row, column)) % s for row in matrix):
+                raise AssertionError(f"Smith form column {j} of matrix @ right is not a multiple of {s}")
     if any(diagonal[i + 1] % diagonal[i] for i in range(n - 1)):
         raise AssertionError(f"Smith form diagonal {diagonal} is not a divisibility chain")
     return SNFResult(diagonal, tuple(tuple(r) for r in right))

@@ -7,11 +7,16 @@ from hypothesis import strategies as st
 
 from deltasimplex import DegenerateSimplexError, Simplex, exact_det, smith_normal_form
 from deltasimplex.cli import _load_simplex
-from deltasimplex.lattice import mat_mul, row_hermite_form
+from deltasimplex.lattice import row_hermite_form
 
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    """The full product a @ b, the reference the Smith form certificate is checked with."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 class TestExactDet:
@@ -76,7 +81,7 @@ class TestSmithNormalForm:
             if det == 0:
                 continue
             res = smith_normal_form(m)
-            image = mat_mul(m, [list(r) for r in res.right])
+            image = mat_mul(m, res.right)
             assert all(row[j] % s == 0 for row in image for j, s in enumerate(res.diagonal))
             assert all(x > 0 for x in res.diagonal)
             assert all(

@@ -17,7 +17,8 @@ import deltasimplex
 SCRIPT = """
 import sys
 from deltasimplex import Simplex
-import deltasimplex.box as box, deltasimplex.classify as classify, deltasimplex.ehrhart as ehrhart, deltasimplex.lattice as lattice
+import deltasimplex.box as box, deltasimplex.classify as classify, deltasimplex.ehrhart as ehrhart
+import deltasimplex.hnf as hnf, deltasimplex.lattice as lattice
 
 assert False, "asserts are not stripped"  # never raises under -O
 triangle = Simplex(((0, 0), (1, 0), (0, 1)))
@@ -89,9 +90,54 @@ FAULTS = {
         "lambda: box.delta_from_box(broken), lambda: box.enumerate_box(broken)",
         "not an integer",
     ),
+    # every lane of the base rows holds its numerator plus den, so each element's d+1
+    # numerators sum to d+1 multiples of den too many: an integer degree past d
+    "box-degree-range": (
+        "real = box.RowFormat.row\n"
+        "box.RowFormat.row = lambda self, steps, orders: real(self, steps, orders) + self.ones * self.modulus\n"
+        "broken = Simplex(((0, 0), (1, 0), (1, 4)))",
+        "lambda: box.delta_from_box(broken), lambda: box.enumerate_box(broken)",
+        "box point degree 3 outside [0, 2]",
+    ),
+    # the group is Z/2003, walked in four pieces of at most 512 elements; the second never arrives
+    "box-piece-dropped": (
+        "real = box._box_pieces\n"
+        "box._box_pieces = lambda s: (\n"
+        "    lambda den, lanes, pieces: (den, lanes, (piece for k, piece in enumerate(pieces) if k != 1))\n"
+        ")(*real(s))\n"
+        "broken = Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 3, 2003)))",
+        "lambda: box.delta_from_box(broken), lambda: box.enumerate_box(broken)",
+        "box degree counts do not sum to the normalized volume",
+    ),
+    # the simplex has group Z/4; a doubled last invariant factor claims a group of order 8
+    "box-group-order": (
+        "real = box.smith_normal_form\n"
+        "box.smith_normal_form = lambda m: (\n"
+        "    lambda snf: snf._replace(diagonal=snf.diagonal[:-1] + (2 * snf.diagonal[-1],))\n"
+        ")(real(m))\n"
+        "broken = Simplex(((0, 0), (1, 0), (1, 4)))",
+        "lambda: box.delta_from_box(broken), lambda: box.enumerate_box(broken)",
+        "box group order differs from the normalized volume",
+    ),
+    "hnf-built-volume": (
+        "real = hnf.Simplex\n"
+        "hnf.Simplex = lambda vertices: real(vertices[:-1] + (tuple(2 * x for x in vertices[-1]),))",
+        "lambda: hnf.build_simplex(hnf.HNFSpec(5, (0, 1, 0, 0), 3))",
+        "built a simplex of volume 10",
+    ),
+    "nonprime-family-prediction": (
+        "hnf.closed_form_delta = lambda spec: (1,) * (spec.dim + 1)",
+        "lambda: hnf.nonprime_family(6)",
+        "not the predicted",
+    ),
+    # the elimination runs on a copy whose last diagonal entry is one larger: [[2, 1], [0, 4]]
+    # has Smith form (1, 8), and the check, which multiplies out the input itself, finds that
+    # column 1 of [[2, 1], [0, 3]] @ right is not a multiple of 8
     "snf-membership": (
-        "real = lattice.mat_mul\n"
-        "lattice.mat_mul = lambda a, b: [[x + 1 for x in row] for row in real(a, b)]",
+        "real = lattice._int_matrix\n"
+        "lattice._int_matrix = lambda m: (\n"
+        "    lambda a: a[:-1] + [a[-1][:-1] + [a[-1][-1] + 1]]\n"
+        ")(real(m))",
         "lambda: lattice.smith_normal_form([[2, 1], [0, 3]])",
         "of matrix @ right is not a multiple of",
     ),
@@ -118,6 +164,14 @@ FAULTS = {
         ")(*real(*args))",
         "lambda: ehrhart.ehrhart_table(triangle)",
         "closed count fails at (n, counted, predicted) = (3, 11, 10)",
+    ),
+    "table-length": (
+        "real = ehrhart._count_dilates\n"
+        "ehrhart._count_dilates = lambda *args: (\n"
+        "    lambda closed, interior: (closed[:-1], interior)\n"
+        ")(*real(*args))",
+        "lambda: ehrhart.ehrhart_table(triangle)",
+        "2-simplex table of lengths 3, 3",
     ),
     "interior-off-by-one": (
         "real = ehrhart._count_dilates\n"

@@ -185,12 +185,36 @@ def referenced_names(tree, skip):
     return found
 
 
+def caller_trees():
+    """Parsed modules of the package and the benchmark, where a name counts as called."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in [*PACKAGE.glob("*.py"), *perfbench.glob("*.py")]]
+
+
 def test_every_export_has_a_caller():
     """Each name of `__all__` is used by the package or the benchmark, or reproduces a paper statement."""
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in [*PACKAGE.glob("*.py"), *perfbench.glob("*.py")]]
+    trees = caller_trees()
     uncalled = {
         name for name in deltasimplex.__all__
         if not any(name in referenced_names(tree, name) for tree in trees)
     }
     assert sorted(uncalled) == sorted(EXPORTED_FOR_THE_PAPER)
+
+
+def test_every_definition_has_a_caller():
+    """Each top-level function and class of the package, and each method that is not a dunder, is read
+    by the package or the benchmark; names of `__all__` are left to `test_every_export_has_a_caller`."""
+    trees = caller_trees()
+    defined = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in parse(path.stem).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                methods = (item.name for item in node.body if isinstance(item, ast.FunctionDef))
+                defined.update(name for name in methods if not (name.startswith("__") and name.endswith("__")))
+    uncalled = {
+        name for name in defined - set(deltasimplex.__all__)
+        if not any(name in referenced_names(tree, name) for tree in trees)
+    }
+    assert sorted(uncalled) == []
