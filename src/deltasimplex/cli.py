@@ -32,6 +32,7 @@ EXIT_INTERNAL = 4
 EXIT_PIPE = 141
 
 _JSON_INT_LIMIT = 2**53
+_EMIT_SLICE = 64  # list items per json.dumps call on output
 
 
 def _jsonable(obj):
@@ -79,12 +80,37 @@ def _scalar_text(value):
     return json.dumps(value) if value is None or isinstance(value, bool) else str(value)
 
 
-def _emit(payload, args):
-    payload = _jsonable(payload)
-    if args.output == "json":
-        print(json.dumps(payload), flush=True)
+def _json_text(payload):
+    """`json.dumps(_jsonable(payload))` in pieces, so the whole text is never held at once."""
+    if isinstance(payload, dict):
+        yield "{"
+        for i, (key, value) in enumerate({str(k): v for k, v in payload.items()}.items()):
+            yield f'{", " if i else ""}{json.dumps(key)}: '
+            yield from _json_slices(value)
+        yield "}"
     else:
-        print("\n".join(_text_lines(payload)), flush=True)
+        yield from _json_slices(payload)
+
+
+def _json_slices(obj):
+    """A list made JSON-safe and encoded _EMIT_SLICE items at a time; anything else whole."""
+    if type(obj) not in (list, tuple):
+        yield json.dumps(_jsonable(obj))
+        return
+    yield "["
+    for start in range(0, len(obj), _EMIT_SLICE):
+        text = json.dumps(_jsonable(obj[start : start + _EMIT_SLICE]))[1:-1]
+        yield ", " + text if start else text
+    yield "]"
+
+
+def _emit(payload, args):
+    if args.output == "json":
+        for text in _json_text(payload):
+            sys.stdout.write(text)
+        print(flush=True)
+    else:
+        print("\n".join(_text_lines(_jsonable(payload))), flush=True)
 
 
 def _error(kind, message, **extra):
@@ -230,13 +256,13 @@ def _cmd_enumerate(args):
     }
     if not args.exhaustive_crosscheck:
         return payload, True
-    searched = exhaustive_search(args.dim, args.volume, budget=args.budget)
+    searched = set(exhaustive_search(args.dim, args.volume, budget=args.budget))
     admissible_set = {w.delta for w in witnesses}
-    match = set(searched) == admissible_set
+    match = searched == admissible_set
     payload["crosscheck"] = {
         "match": match,
-        "search_only": sorted(set(searched) - admissible_set),
-        "enumerate_only": sorted(admissible_set - set(searched)),
+        "search_only": sorted(searched - admissible_set),
+        "enumerate_only": sorted(admissible_set - searched),
     }
     return payload, match
 

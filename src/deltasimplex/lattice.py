@@ -86,9 +86,17 @@ class SNFResult(namedtuple("SNFResult", "diagonal right")):
 
 
 def _least_entry(a, t):
-    """Row-major first position (i, j), i, j >= t, of the least nonzero |a[i][j]|."""
-    n = len(a)
-    least = min(((abs(a[i][j]), i, j) for i in range(t, n) for j in range(t, n) if a[i][j]), default=None)
+    """Row-major first position (i, j), i, j >= t, of the least nonzero |a[i][j]|.
+
+    No nonzero entry is smaller than 1, so the scan stops at the first unit.
+    """
+    least = None
+    for i in range(t, len(a)):
+        for j, x in enumerate(a[i][t:], t):
+            if x and (least is None or abs(x) < least[0]):
+                least = abs(x), i, j
+                if x in (1, -1):
+                    return i, j
     if least is None:
         raise ValueError("matrix is singular")
     return least[1:]

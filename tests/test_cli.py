@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import json
 import os
 import random
@@ -6,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -126,15 +129,22 @@ class TestBox:
 
 
     def test_closed_pipe_exits_141_quietly(self, tmp_path):
-        # about 0.8 MB of text, far more than a pipe buffers, so the writer meets the closed pipe
+        self.read_head_and_close(tmp_path, "text", b"-\n")
+
+    def test_closed_pipe_exits_141_quietly_in_json(self, tmp_path):
+        self.read_head_and_close(tmp_path, "json", b'[{"coeffs": ["0/20011"')
+
+    @staticmethod
+    def read_head_and_close(tmp_path, output, head):
+        # about 0.8 MB of text or 1.1 MB of JSON, far more than a pipe buffers, so the writer meets the closed pipe
         path = tmp_path / "long.json"
         path.write_text(json.dumps({"vertices": [[0], [20011]]}))
         src = os.path.dirname(os.path.dirname(deltasimplex.__file__))
         with subprocess.Popen(
-            [sys.executable, "-m", "deltasimplex.cli", "--output", "text", "box", "--simplex", str(path)],
+            [sys.executable, "-m", "deltasimplex.cli", "--output", output, "box", "--simplex", str(path)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
         ) as proc:
-            assert proc.stdout.readline() == b"-\n"
+            assert proc.stdout.read(len(head)) == head
             proc.stdout.close()
             assert proc.stderr.read() == b""
             assert proc.wait(timeout=60) == 141
@@ -673,6 +683,61 @@ class TestJsonable:
         """A record is a named tuple, yet not printed as a list: a handler names the fields it emits."""
         with pytest.raises(TypeError, match="cannot serialize"):
             _jsonable(record)
+
+
+class TestStreamedJson:
+    """`_emit` writes JSON a slice at a time; the bytes are those of one `json.dumps` of the whole."""
+
+    S = deltasimplex.cli._EMIT_SLICE
+    LENGTHS = [0, 1, S - 1, S, S + 1, 2 * S + 1]
+
+    @staticmethod
+    def emitted(capsys, payload):
+        deltasimplex.cli._emit(payload, argparse.Namespace(output="json"))
+        return capsys.readouterr().out
+
+    @staticmethod
+    def items(kind, n):
+        """n items; only the last holds an int beyond 2**53, so only the last slice takes the per-item path."""
+        if kind == "ints":
+            return [i - n // 2 for i in range(n - 1)] + [2**53] * (n > 0)
+        items = [{"delta": (1, i, (i, -i)), 7: True, "case": None} for i in range(n)]
+        if items:
+            items[-1]["witness"] = {"m": -(2**53), "coeffs": ((2**60,), ())}
+        return items
+
+    @pytest.mark.parametrize("kind", ["ints", "records"])
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("outer", [list, tuple])
+    def test_top_level_list(self, capsys, kind, n, outer):
+        payload = outer(self.items(kind, n))
+        assert self.emitted(capsys, payload) == json.dumps(_jsonable(payload)) + "\n"
+
+    @pytest.mark.parametrize("kind", ["ints", "records"])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_list_value_of_a_dict(self, capsys, kind, n):
+        payload = {3: (1, (2, 2**53)), "entries": self.items(kind, n), "more": tuple(self.items(kind, n)), "ok": False}
+        assert self.emitted(capsys, payload) == json.dumps(_jsonable(payload)) + "\n"
+
+    def test_keys_that_collide_as_strings(self, capsys):
+        payload = {1: [1], "1": [2, 3], 2: "x"}
+        assert self.emitted(capsys, payload) == json.dumps(_jsonable(payload)) + "\n" == '{"1": [2, 3], "2": "x"}\n'
+
+    @pytest.mark.parametrize("payload", [(1, 4), {"a": {"b": [1, 2]}, "c": 2**53}, "s", 5, None, {}])
+    def test_other_payloads_whole(self, capsys, payload):
+        assert self.emitted(capsys, payload) == json.dumps(_jsonable(payload)) + "\n"
+
+    def test_enumerate_holds_its_result_once(self):
+        """Built whole, the JSON-safe copy and its text take the peak to 14.1 MiB; a slice at a time, 6.0 MiB."""
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["enumerate", "--volume", "5", "--dim", "72"])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * 2**20, peak
 
 
 def _reference_jsonable(obj):

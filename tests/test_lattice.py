@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from deltasimplex import DegenerateSimplexError, Simplex, exact_det, smith_normal_form
 from deltasimplex.cli import _load_simplex
-from deltasimplex.lattice import row_hermite_form
+from deltasimplex.lattice import _least_entry, row_hermite_form
 
 
 def identity(n):
@@ -96,6 +96,38 @@ class TestSmithNormalForm:
             inverse_left = [[x // s for x, s in zip(row, res.diagonal)] for row in image]
             assert abs(exact_det(inverse_left)) == 1
             done += 1
+
+    def test_least_entry_equals_the_full_scan(self):
+        """The scan stops at the first unit; the full scan over the trailing block is the reference."""
+
+        def full_scan(a, t):
+            n = len(a)
+            least = min(((abs(a[i][j]), i, j) for i in range(t, n) for j in range(t, n) if a[i][j]), default=None)
+            if least is None:
+                raise ValueError("matrix is singular")
+            return least[1:]
+
+        rng = random.Random(20261019)
+        palettes = [[0, 1, -1, 2, -3, 5], [0, 0, 2, -2, 3, -4, 6], [0] * 12 + [1, -2, 3]]
+        seen = {"unit": 0, "no unit": 0, "singular": 0, "zero block": 0}
+        for _ in range(2000):
+            n = rng.randint(1, 7)
+            t = rng.randrange(n)
+            values = rng.choice(palettes)
+            a = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.2:
+                a[-1] = [2 * x for x in a[0]]  # singular, the block mostly not zero
+            block = [x for row in a[t:] for x in row[t:]]
+            if not any(block):
+                seen["zero block"] += 1
+                for scan in (_least_entry, full_scan):
+                    with pytest.raises(ValueError, match="singular"):
+                        scan(a, t)
+                continue
+            seen["unit" if 1 in map(abs, block) else "no unit"] += 1
+            seen["singular"] += exact_det(a) == 0
+            assert _least_entry(a, t) == full_scan(a, t), (a, t)
+        assert min(seen.values()) >= 50, seen
 
     @settings(max_examples=60, deadline=None)
     @given(
