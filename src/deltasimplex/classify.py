@@ -125,8 +125,9 @@ def _case(e: ExponentList):
 def witness(delta, p: int) -> Witness:
     """Construct a family member realizing an admissible delta-vector.
 
-    The construction self-verifies: its coefficients must be nonnegative and fit
-    the carried dimension, and the closed form must reproduce the requested vector.
+    The construction self-verifies: its coefficients must make a valid `HNFSpec`
+    (m - 1 of them, nonnegative, fitting the carried dimension), and the closed
+    form must reproduce the requested vector.
     """
     e, violations = _exponents_and_violations(delta, p)
     if violations:
@@ -138,9 +139,10 @@ def _witness(e: ExponentList) -> Witness:
     """Witness of an exponent list already known to be admissible."""
     case, formula = _case(e)
     coeffs = formula(*e.values)
-    if any(c < 0 for c in coeffs) or sum(coeffs) > e.dim - 1:
-        raise AssertionError(f"case {case.label} gave coefficients {coeffs} that are negative or sum past {e.dim - 1}")
-    spec = HNFSpec(e.m, coeffs, e.dim)
+    try:
+        spec = HNFSpec(e.m, coeffs, e.dim)
+    except ValueError as exc:  # the formula, not the caller's input, is at fault
+        raise AssertionError(f"case {case.label} gave coefficients {coeffs}: {exc}") from exc
     produced = closed_form_delta(spec)
     if produced != delta_from_exponents(e):
         raise AssertionError(f"witness {spec} has delta-vector {produced}, not the requested one")

@@ -28,8 +28,6 @@ def count_lattice_points(
     s: Simplex, n: int, interior: bool = False, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Exact number of lattice points in the n-th dilate (interior points if asked)."""
-    if _as_int(n) < 1:
-        raise ValueError("dilation factor must be >= 1")
     return _count_dilates(s, (n,), budget)[interior][0]
 
 

@@ -15,6 +15,7 @@ numerator of chi(g) over e, so adding d+1 characters is one big-int
 addition per row and no lane ever carries into the next.
 """
 
+from itertools import combinations_with_replacement
 from math import comb
 
 from .lanes import RowFormat
@@ -52,34 +53,6 @@ def _table(factors, lanes: RowFormat) -> list:
     return rows
 
 
-def _sorted_sums(rows, depth: int):
-    """(last index, packed sum of the rows) of every sorted `depth`-tuple of row indices, lexicographically.
-
-    The empty tuple, at depth 0, gives (0, 0).
-
-    The sums of a tuple's prefixes are kept, so each step adds one row per
-    entry that changed: one big-int addition per node of the prefix tree. A
-    loop rather than a recursion, so `depth` is not bounded by the recursion
-    limit.
-    """
-    last = len(rows) - 1
-    index = [0] * depth
-    sums = [0]
-    for _ in index:
-        sums.append(sums[-1] + rows[0])
-    while True:
-        yield index[-1] if depth else 0, sums[-1]
-        j = depth - 1
-        while j >= 0 and index[j] == last:
-            j -= 1
-        if j < 0:
-            return
-        k = index[j] + 1
-        for i in range(j, depth):
-            index[i] = k
-            sums[i + 1] = sums[i] + rows[k]
-
-
 def exhaustive_search(d: int, vol: int, budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...], ...]:
     """Ground truth: every delta-vector of a lattice d-simplex of normalized volume vol, sorted.
 
@@ -94,9 +67,10 @@ def exhaustive_search(d: int, vol: int, budget: int = DEFAULT_BUDGET) -> tuple[t
     from the packed sum of the d rows: at the unit element of factor i the
     lane holds digit_i * (e / n_i) with no reduction, and the completing digit
     is -digit_i mod n_i. Every lane of the d+1 rows' sum is a multiple of e
-    in [0, d e], and `RowFormat.multiples` counts the lanes equal to each: the
-    multiset separates A iff only the identity has age 0, and then delta_i is
-    the number of lanes equal to i * e.
+    in [0, d e], and `RowFormat.multiples` counts the lanes equal to each, so
+    the counts add up to vol, which is checked: the multiset separates A iff
+    only the identity has age 0, and then delta_i is the number of lanes
+    equal to i * e.
 
     The budget counts character values: for each type, at most 2 vol**2 for
     its table and (d+1) vol for each of its C(vol+d-1, d) sorted d-tuples.
@@ -105,11 +79,13 @@ def exhaustive_search(d: int, vol: int, budget: int = DEFAULT_BUDGET) -> tuple[t
     2r <= vol + 1 since 2**r <= vol. A d-tuple reads r lanes to find its
     completing character. A histogram is charged vol values for each of its
     d+1 counts, the separation test and the d ages; it makes 2d+1 passes of a
-    subtraction, a mask and a popcount. These passes and the big-int
-    additions, at most one per node of the prefix tree and one for the
-    completing row, work on whole machine words in C, several lanes at a
-    time. The cyclic type alone is gated first, so a huge volume is refused
-    before it is factored.
+    subtraction, a mask and a popcount. A sorted (d-1)-tuple costs d-1
+    big-int additions, shared by the one or more d-tuples that extend it,
+    and each d-tuple adds one row for its last entry and one for the
+    completing row: at most d+1 additions per d-tuple. These additions and
+    passes work on whole machine words in C, several lanes at a time. The
+    cyclic type alone is gated first, so a huge volume is refused before it
+    is factored.
     """
     if min(_as_int(d), _as_int(vol)) < 1:
         raise ValueError("need d >= 1 and vol >= 1")
@@ -127,14 +103,20 @@ def exhaustive_search(d: int, vol: int, budget: int = DEFAULT_BUDGET) -> tuple[t
             stride //= n
             units.append((lanes.offset(stride), exponent // n, n, stride))
         mask = (1 << lanes.bits) - 1
-        for start, prefix in _sorted_sums(rows, d - 1):
-            for k in range(start, vol):
+        for head in combinations_with_replacement(range(vol), d - 1):
+            prefix = sum(map(rows.__getitem__, head))
+            for k in range(head[-1] if head else 0, vol):
                 total = prefix + rows[k]
                 last = 0
                 for shift, scale, n, stride in units:
                     last += -(total >> shift & mask) // scale % n * stride
                 if last >= k:
                     ages = lanes.multiples(total + rows[last], vol)
+                    if sum(ages) != vol:
+                        raise AssertionError(
+                            f"characters {head + (k, last)} of group type {factors} give age counts "
+                            f"summing to {sum(ages)}, not {vol}"
+                        )
                     if ages[0] == 1:
                         found.add(tuple(ages))
     return tuple(sorted(found))

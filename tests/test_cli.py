@@ -537,6 +537,15 @@ def _overflowing_case_i(monkeypatch):
     )
 
 
+def _short_case_i(monkeypatch):
+    monkeypatch.setitem(deltasimplex.classify._PATTERN_CASES[5], (4,), ("i", lambda *_: (0, 1, 1)))
+
+
+def _misread_completion(monkeypatch):
+    real = deltasimplex.lanes.RowFormat.offset
+    monkeypatch.setattr(deltasimplex.lanes.RowFormat, "offset", lambda self, item: real(self, item + 1))
+
+
 def _off_lattice_column(monkeypatch):
     real = deltasimplex.box.smith_normal_form
 
@@ -555,8 +564,24 @@ class TestContractFault:
                                        "reciprocity fails at (n, counted, predicted) = (1, 1, 0)"),
         "verify-interior-off-by-one": (["verify", "--simplex", "{triangle}"], _interior_off_by_one,
                                        "reciprocity fails at (n, counted, predicted) = (1, 1, 0)"),
-        "classify-overflowing-witness": (["classify", "--delta", "1,0,4,0", "--volume", "5"], _overflowing_case_i,
-                                         "case i gave coefficients (0, 7, 1, 0) that are negative or sum past 2"),
+        "classify-overflowing-witness": (
+            ["classify", "--delta", "1,0,4,0", "--volume", "5"], _overflowing_case_i,
+            "case i gave coefficients (0, 7, 1, 0): coefficient sum must be at most dim - 1",
+        ),
+        # a witness formula that returns too few coefficients is a fault of the table, not of the input
+        "classify-short-witness": (
+            ["classify", "--delta", "1,0,4,0", "--volume", "5"], _short_case_i,
+            "case i gave coefficients (0, 1, 1): expected 4 coefficients, got 3",
+        ),
+        "enumerate-short-witness": (
+            ["enumerate", "--volume", "5", "--dim", "3"], _short_case_i,
+            "case i gave coefficients (0, 1, 1): expected 4 coefficients, got 3",
+        ),
+        # the completing character is read from the lane of element 2, not 1: (0, 0, 1) is completed by 5
+        "search-completion-misread": (
+            ["search", "--dim", "3", "--volume", "7"], _misread_completion,
+            "characters (0, 0, 1, 5) of group type (7,) give age counts summing to 1, not 7",
+        ),
         # the triangle's group is Z/5; the shifted generator (0, 3, 2, 1)/5 is off the
         # lattice, so its multiple 1 (element order) and 2 (canonical order) sum to 6/5, 7/5
         "delta-off-lattice": (["delta", "--simplex", "{triangle}"], _off_lattice_column,

@@ -18,6 +18,7 @@ SCRIPT = """
 import sys
 from deltasimplex import Simplex
 import deltasimplex.box as box, deltasimplex.classify as classify, deltasimplex.ehrhart as ehrhart
+import deltasimplex.groups as groups
 import deltasimplex.hnf as hnf, deltasimplex.lattice as lattice
 
 assert False, "asserts are not stripped"  # never raises under -O
@@ -49,12 +50,35 @@ SHIFTED_LAST_COLUMN = (
     ")(real(m))\n"
 )
 
+# reads the unit-element lane of the next group element, so the sweep completes its
+# d characters with one that does not bring their sum to zero
+MISREAD_COMPLETION = (
+    "real = groups.RowFormat.offset\n"
+    "groups.RowFormat.offset = lambda self, item: real(self, item + 1)\n"
+)
+
 # fault, calls that must raise, a phrase of the raising check's message
 FAULTS = {
     "witness-coefficients-overflow": (
-        "classify._PATTERN_CASES[5][(4,)] = ('i', lambda i1, *_: (0, i1 + 5, i1 - 1, 0))",
+        "classify._PATTERN_CASES[5][(4,)] = ('i', lambda *_: (0, 7, 1, 0))",
         "lambda: classify.witness((1, 0, 4, 0), 5), lambda: classify.enumerate_admissible(5, 3)",
-        "that are negative or sum past",
+        "case i gave coefficients (0, 7, 1, 0): coefficient sum must be at most dim - 1",
+    ),
+    "witness-coefficients-negative": (
+        "classify._PATTERN_CASES[5][(4,)] = ('i', lambda *_: (0, -1, 1, 0))",
+        "lambda: classify.witness((1, 0, 4, 0), 5), lambda: classify.enumerate_admissible(5, 3)",
+        "case i gave coefficients (0, -1, 1, 0): coefficients must be nonnegative",
+    ),
+    "witness-coefficients-wrong-length": (
+        "classify._PATTERN_CASES[5][(4,)] = ('i', lambda *_: (0, 1, 1))",
+        "lambda: classify.witness((1, 0, 4, 0), 5), lambda: classify.enumerate_admissible(5, 3)",
+        "case i gave coefficients (0, 1, 1): expected 4 coefficients, got 3",
+    ),
+    # unchecked, the cyclic sweep at (3, 7) returns ((1, 0, 0, 0),), a vector of volume 1
+    "sweep-completion-misread": (
+        MISREAD_COMPLETION,
+        "lambda: groups.exhaustive_search(3, 7), lambda: groups.exhaustive_search(3, 8)",
+        "give age counts summing to",
     ),
     "witness-pattern-unmatched": (
         "del classify._PATTERN_CASES[5][(4,)]",
@@ -208,13 +232,16 @@ def test_internal_fault_exits_4_under_optimize(tmp_path):
     for fault, argv, phrase in (
         (FAULTS["witness-closed-form"][0], ["classify", "--delta", "1,0,4,0", "--volume", "5"], "not the requested one"),
         (FAULTS["witness-pattern-unmatched"][0], ["classify", "--delta", "1,0,4,0", "--volume", "5"], "no case matches"),
+        (FAULTS["witness-coefficients-wrong-length"][0], ["enumerate", "--volume", "5", "--dim", "3"],
+         "expected 4 coefficients, got 3"),
+        (MISREAD_COMPLETION, ["search", "--dim", "3", "--volume", "7"], "give age counts summing to"),
         (FAULTS["interior-off-by-one"][0], ["oracle", "--simplex", str(triangle)], "reciprocity fails"),
         (FAULTS["closed-count-off-by-one"][0], ["oracle", "--simplex", str(triangle)], "closed count fails"),
         (FAULTS["interior-off-by-one"][0], ["verify", "--simplex", str(triangle)], "reciprocity fails"),
     ):
         result = run_optimized(
             "import sys\n"
-            "import deltasimplex.classify as classify, deltasimplex.ehrhart as ehrhart\n"
+            "import deltasimplex.classify as classify, deltasimplex.ehrhart as ehrhart, deltasimplex.groups as groups\n"
             "from deltasimplex.cli import main\n"
             f"{fault}\n"
             f"sys.exit(main({argv!r}))\n"
