@@ -1,12 +1,12 @@
 """Command-line front end: argument parsing, text formats, rendering and exit codes.
 
-Output goes to stdout as compact JSON (or plain text with --output text);
-errors go to stderr as JSON objects. Exit codes: 0 success / positive
-verdict, 1 negative verdict, 2 malformed input, 3 work budget exceeded,
-4 internal error (a contract check failed), 141 stdout closed early
-(128 + SIGPIPE). Each `_cmd_*` handler returns (payload, ok); `main` alone
-prints the payload and maps ok to exit 0 or 1. Integers given as text, on the
-command line or as string coordinates in a simplex file, read -?[0-9]+.
+Output goes to stdout as compact JSON, or as indented lines with --output text.
+Every malformed input, argument syntax included, is one JSON error object on
+stderr with exit 2; long flags must be spelled in full. Exit codes: 0 success /
+positive verdict, 1 negative verdict, 2 malformed input, 3 over the work budget,
+4 internal error (a contract check failed), 141 stdout closed early (128 +
+SIGPIPE). `_cmd_*` handlers return (payload, ok); `main` alone prints, reports
+errors and returns the exit code. Integers written as text read -?[0-9]+.
 """
 
 import argparse
@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .box import delta_from_box, enumerate_box
-from .classify import _PATTERN_CASES, admissible, enumerate_admissible, witness
+from .classify import admissible, enumerate_admissible, witness
 from .constraints import _validated_delta, least_prime_divisor, run_all_checks
 from .ehrhart import ehrhart_delta, ehrhart_table
 from .groups import exhaustive_search
@@ -53,24 +53,14 @@ def _jsonable(obj):
 
 def _text_lines(obj, indent=0):
     pad = "  " * indent
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            if isinstance(value, (dict, list)) and value and not _is_scalar_list(value):
-                yield f"{pad}{key}:"
-                yield from _text_lines(value, indent + 1)
-            else:
-                yield f"{pad}{key}: {_scalar_text(value)}"
-    else:
-        for item in obj:
-            if isinstance(item, (dict, list)):
-                yield f"{pad}-"
-                yield from _text_lines(item, indent + 1)
-            else:
-                yield f"{pad}- {_scalar_text(item)}"
-
-
-def _is_scalar_list(value):
-    return isinstance(value, list) and all(not isinstance(x, (dict, list)) for x in value)
+    labelled = ((f"{k}:", v) for k, v in obj.items()) if isinstance(obj, dict) else (("-", v) for v in obj)
+    for label, value in labelled:
+        # a nonempty dict, or a list holding a dict or list, nests; anything else prints inline
+        if isinstance(value, dict) and value or isinstance(value, list) and any(isinstance(x, (dict, list)) for x in value):
+            yield f"{pad}{label}"
+            yield from _text_lines(value, indent + 1)
+        else:
+            yield f"{pad}{label} {_scalar_text(value)}"
 
 
 def _scalar_text(value):
@@ -309,13 +299,23 @@ def _cmd_verify(args):
     return payload, agree
 
 
+class _Parser(argparse.ArgumentParser):
+    """Accepts a long flag by its full name only and raises usage errors for `main` to report."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser():
     budget_help = "work budget in cells / box points / character values / candidate delta entries / exponents and pairs"
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--budget", type=ascii_int, default=argparse.SUPPRESS, help=budget_help)
     common.add_argument("--output", choices=("json", "text"), default=argparse.SUPPRESS)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deltasimplex",
         description="Delta-vectors of lattice simplices: compute, validate, classify.",
     )
@@ -351,11 +351,11 @@ def _build_parser():
 
     p = sub.add_parser("classify", parents=[common], help="admissibility and witness for volume 5 or 7")
     p.add_argument("--delta", required=True)
-    p.add_argument("--volume", type=ascii_int, choices=sorted(_PATTERN_CASES), required=True)
+    p.add_argument("--volume", type=ascii_int, required=True)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("enumerate", parents=[common], help="all admissible delta-vectors at a dimension")
-    p.add_argument("--volume", type=ascii_int, choices=sorted(_PATTERN_CASES), required=True)
+    p.add_argument("--volume", type=ascii_int, required=True)
     p.add_argument("--dim", type=ascii_int, required=True)
     p.add_argument("--exhaustive-crosscheck", action="store_true")
     p.set_defaults(handler=_cmd_enumerate)
@@ -376,9 +376,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         payload, ok = args.handler(args)
         _emit(payload, args)
         return EXIT_OK if ok else EXIT_NEGATIVE

@@ -246,15 +246,16 @@ class TestCheck:
         # int() would read each of these; README allows only -?[0-9]+
         code, out, _ = run(capsys, ["check", "--delta", f"1,{text},4"])
         assert (code, out) == (2, "")
-        for argv in (
-            ["hnf", "--m", text, "--coeffs", "0,1,1,0", "--dim", "3"],
-            ["search", "--dim", "2", "--volume", text],
-            ["--budget", text, "check", "--delta", "1,0,4,0"],
+        for flag, argv in (
+            ("--m", ["hnf", "--m", text, "--coeffs", "0,1,1,0", "--dim", "3"]),
+            ("--volume", ["search", "--dim", "2", "--volume", text]),
+            ("--budget", ["--budget", text, "check", "--delta", "1,0,4,0"]),
         ):
-            with pytest.raises(SystemExit) as info:
-                main(argv)
-            assert info.value.code == 2
-            assert capsys.readouterr().out == ""
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            [line] = err.splitlines()
+            message = f"argument {flag}: invalid ascii_int value: {text!r}"
+            assert json.loads(line) == {"error": {"type": "ValueError", "message": message}}
 
     def test_round_trip_with_delta(self, capsys, triangle_file):
         code, out, _ = run(capsys, ["delta", "--simplex", triangle_file])
@@ -364,10 +365,14 @@ class TestEnumerateAndSearch:
         ],
     )
     def test_threads_flag_is_a_usage_error(self, capsys, argv):
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 2
-        assert capsys.readouterr().out == ""
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "ValueError"
+        # before the command argparse takes the "2" for the command; after it, "--threads 2" is left over
+        blamed = "argument command: invalid choice: '2'" if argv[0] == "--threads" else "unrecognized arguments: --threads 2"
+        assert error["message"].startswith(blamed)
 
 
 class TestBoxBudget:
@@ -626,6 +631,13 @@ class TestMalformedInput:
             ["delta", "--simplex", "{file}"], {"vertices": [[0], [5]], "color": "red"},
             'expected a JSON object with a single "vertices" key',
         ),
+        "classify-volume-11": (
+            ["classify", "--delta", "1,0,4,0", "--volume", "11"], None, "classification covers volumes 5 and 7 only",
+        ),
+        "enumerate-volume-9": (
+            ["enumerate", "--volume", "9", "--dim", "3"], None, "classification covers volumes 5 and 7 only",
+        ),
+        "missing-argument": (["delta"], None, "the following arguments are required: --simplex"),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -638,6 +650,52 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         [line] = err.splitlines()
         assert json.loads(line) == {"error": {"type": "ValueError", "message": message}}
+
+
+def _parsers():
+    """(argv before a flag, argv after it, parser) for the top level and for each command."""
+    top = deltasimplex.cli._build_parser()
+    [commands] = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    yield [], ["check", "--delta", "1"], top
+    for name, parser in commands.choices.items():
+        # every required flag takes a value, and "3" parses for each of them
+        required = [t for a in parser._actions if a.required for t in (a.option_strings[0], "3")]
+        yield [name, *required], [], parser
+
+
+def _given(flag, action):
+    """argv giving the flag, with the last choice or "3" as its value, and the value parsing stores."""
+    if action.nargs == 0:
+        return [flag], True
+    text = action.choices[-1] if action.choices else "3"
+    return [f"{flag}={text}"], (action.type or str)(text)
+
+
+@pytest.mark.parametrize(
+    "before, after, parser", [pytest.param(*p, id=p[0][0] if p[0] else "top") for p in _parsers()]
+)
+def test_long_flags_by_full_name_only(capsys, before, after, parser):
+    """Built from the parser's own actions, so a flag added later is covered too."""
+    for action in parser._actions:
+        for flag in (f for f in action.option_strings if f.startswith("--")):
+            given, value = _given(flag, action)
+            argv = [*before, *given, *after]
+            if isinstance(action, argparse._HelpAction):
+                with pytest.raises(SystemExit) as info:
+                    deltasimplex.cli._build_parser().parse_args(argv)
+                assert info.value.code == 0
+                assert capsys.readouterr().out.startswith("usage: ")
+            else:
+                assert getattr(deltasimplex.cli._build_parser().parse_args(argv), action.dest) == value
+            for prefix in (flag[:k] for k in range(3, len(flag))):
+                if prefix in parser._option_string_actions:
+                    continue
+                code, out, err = run(capsys, [*before, *_given(prefix, action)[0], *after])
+                assert (code, out) == (2, "")
+                [line] = err.splitlines()
+                error = json.loads(line)["error"]
+                assert error["type"] == "ValueError"
+                assert error["message"].startswith(f"unrecognized arguments: {prefix}")
 
 
 class TestOutputModes:
@@ -669,6 +727,12 @@ class TestOutputModes:
         assert code == 1
         assert "case: null\nwitness: null\nverified: false\n" in out
         assert "None" not in out
+
+    def test_a_delta_vector_prints_inline_under_a_key_or_in_a_list(self, capsys, segment_file):
+        code, out, _ = run(capsys, ["--output", "text", "search", "--dim", "2", "--volume", "5"])
+        assert (code, out) == (0, "dim: 2\nvolume: 5\ncount: 2\ndeltas:\n  - 1,2,2\n  - 1,4,0\n")
+        code, out, _ = run(capsys, ["--output", "text", "verify", "--simplex", segment_file])
+        assert (code, out) == (0, "methods:\n  box: 1,4\n  oracle: 1,4\nagree: true\n")
 
     def test_text_mode_after_subcommand(self, capsys, segment_file):
         code, out, _ = run(capsys, ["delta", "--simplex", segment_file, "--output", "text"])

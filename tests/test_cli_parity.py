@@ -8,8 +8,7 @@ written into a fresh working directory, so paths in messages are relative.
 
 A change that alters CLI output on purpose re-records the corpus with
 `PYTHONPATH=src python tests/test_cli_parity.py` and names the entries whose
-records changed. Argparse usage errors are kept to messages that are the same
-across supported Python versions.
+records changed.
 """
 
 import contextlib
@@ -33,16 +32,12 @@ def run(argv):
     """[exit code, stdout, stderr] of one in-process call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+        code = main(argv)
     return [code, out.getvalue(), err.getvalue()]
 
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal width
     for name, text in RECORDED["files"].items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
@@ -215,19 +210,45 @@ def _argv_list(rng, files):
     return calls
 
 
+# Files and calls added after the first recording. They draw nothing from the random stream and come
+# after every earlier call, so no earlier entry moves.
+LATER_FILES = {"wide.json": '{"vertices": [[0, 0], [1, 0], [5, 701]]}'}
+LATER_CALLS = [
+    # long flags are accepted by their full names only
+    ["search", "--dim", "3", "--vol", "7"],
+    ["--bud", "5", "search", "--dim", "2", "--volume", "5"],
+    ["--out", "text", "search", "--dim", "2", "--volume", "5"],
+    ["enumerate", "--volume", "5", "--dim", "2", "--exh"],
+    ["delta", "--sim", "segment.json"],
+    ["hnf", "--m", "5", "--coef", "0,1,1,0", "--dim", "3"],
+    # the classification table has volumes 5 and 7 only
+    ["classify", "--delta", "1,0,4,0", "--volume", "11"],
+    ["enumerate", "--volume", "9", "--dim", "3"],
+    # delta-vectors in a list print inline
+    ["--output", "text", "search", "--dim", "3", "--volume", "7"],
+    # a box group above one 512-element piece, whose last piece is narrower
+    ["delta", "--simplex", "wide.json"],
+    # witness case viii, one vector for each sign of i1 + i3 - 2*i2
+    ["classify", "--delta", "1,1,1,1,1,1,1", "--volume", "7"],
+    ["classify", "--delta", "1,0,1,0,1,1,1,1,0,1,0", "--volume", "7"],
+    ["classify", "--delta", "1,0,1,1,0,1,1,0,1,1,0", "--volume", "7"],
+]
+
+
 def record():
     """Write the corpus: run every call in a temporary directory holding the corpus's files."""
     rng = random.Random(20261018)
     files = _simplex_files(rng)
+    argvs = _argv_list(rng, files) + LATER_CALLS
+    files.update(LATER_FILES)
     here = os.getcwd()
-    os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as directory:
         for name, text in files.items():
             Path(directory, name).write_text(text, encoding="utf-8")
         os.chdir(directory)
         try:
             calls = []
-            for argv in _argv_list(rng, files):
+            for argv in argvs:
                 code, out, err = run(argv)
                 calls.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
         finally:

@@ -141,9 +141,11 @@ def functions_naming(module, names):
 
 
 def test_one_exit_path_in_the_cli():
-    """Handlers return (payload, ok); `main` alone prints the payload and chooses exit 0 or 1."""
+    """Handlers return (payload, ok); `main` alone prints the payload, chooses exit 0 or 1 and reports
+    every error, usage errors included: the parser raises them."""
     assert functions_naming("cli", {"_emit"}) == ["main"]
     assert functions_naming("cli", {"EXIT_OK", "EXIT_NEGATIVE"}) == ["main"]
+    assert functions_naming("cli", {"_error"}) == ["main"]
 
 
 def test_lattice_reads_no_text():
