@@ -92,22 +92,20 @@ class Witness(namedtuple("Witness", "spec case delta")):
     __slots__ = ()
 
 
-def admissible(delta, p: int) -> tuple:
-    """Violations of pairing + superadditivity for volume 5 or 7; empty means admissible.
+def admissible(delta) -> tuple:
+    """Violations of pairing + superadditivity of a vector summing to 5 or 7; empty means admissible.
 
     Superadditivity is checked on the reduced pair set, which is equivalent
     to the full set once the pairing equalities hold. Violations merge both
     sub-checks' index pairs.
     """
-    return _exponents_and_violations(delta, p)[1]
+    return _exponents_and_violations(delta)[1]
 
 
-def _exponents_and_violations(delta, p: int) -> tuple[ExponentList, tuple]:
+def _exponents_and_violations(delta) -> tuple[ExponentList, tuple]:
     """The exponent list of `delta`, built once, and its `admissible` violations."""
-    _cases(p)
-    m = sum(_validated_delta(delta))  # before building the list of m - 1 exponents
-    if m != p:
-        raise ValueError(f"delta-vector sums to {m}, expected {p}")
+    p = sum(_validated_delta(delta))
+    _cases(p)  # before building the list of p - 1 exponents
     e = exponents(delta)
     return e, check_pairing(e) + _superadditive(e.values, reduced_pairs(p))
 
@@ -122,14 +120,14 @@ def _case(e: ExponentList):
     return CaseId(label, _viii_sign(*e.values) if label == "viii" else None), formula
 
 
-def witness(delta, p: int) -> Witness:
+def witness(delta) -> Witness:
     """Construct a family member realizing an admissible delta-vector.
 
     The construction self-verifies: its coefficients must make a valid `HNFSpec`
     (m - 1 of them, nonnegative, fitting the carried dimension), and the closed
     form must reproduce the requested vector.
     """
-    e, violations = _exponents_and_violations(delta, p)
+    e, violations = _exponents_and_violations(delta)
     if violations:
         raise ValueError(f"delta-vector is not admissible: violations {violations}")
     return _witness(e)

@@ -210,7 +210,7 @@ def _cmd_check(args):
 
 def _cmd_classify(args):
     delta = _parse_int_list(args.delta, "--delta")
-    violations = admissible(delta, args.volume)
+    violations = admissible(delta)
     if violations:
         return {
             "admissible": False,
@@ -219,7 +219,7 @@ def _cmd_classify(args):
             "witness": None,
             "verified": False,
         }, False
-    found = witness(delta, args.volume)
+    found = witness(delta)
     verified = delta_from_box(_box_budget(build_simplex(found.spec), args.budget)) == found.delta
     return {
         "admissible": True,
@@ -268,19 +268,15 @@ def _cmd_search(args):
 
 
 def _cmd_verify(args):
-    have_spec = args.m is not None or args.coeffs is not None or args.dim is not None
-    if args.simplex is not None and have_spec:
+    given = sum(v is not None for v in (args.m, args.coeffs, args.dim))
+    if args.simplex is not None and given:
         raise ValueError("give either --simplex or --m/--coeffs/--dim, not both")
-    spec = None
-    if args.simplex is not None:
-        simplex = _load_simplex(args.simplex)
-    elif have_spec:
-        if args.m is None or args.coeffs is None or args.dim is None:
-            raise ValueError("--m, --coeffs and --dim must be given together")
-        spec = _spec(args)
-        simplex = build_simplex(spec)
-    else:
+    if 0 < given < 3:
+        raise ValueError("--m, --coeffs and --dim must be given together")
+    if args.simplex is None and not given:
         raise ValueError("give --simplex or --m/--coeffs/--dim")
+    spec = _spec(args) if given else None
+    simplex = build_simplex(spec) if given else _load_simplex(args.simplex)
 
     methods = {"box": delta_from_box(_box_budget(simplex, args.budget))}
     if spec is not None:
@@ -310,17 +306,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    budget_help = "work budget in cells / box points / character values / candidate delta entries / exponents and pairs"
-    common = _Parser(add_help=False)
-    common.add_argument("--budget", type=ascii_int, default=argparse.SUPPRESS, help=budget_help)
+    common = _Parser(add_help=False)  # actions shared by the top level and every command; `main` supplies defaults
+    common.add_argument("--budget", type=ascii_int, default=argparse.SUPPRESS, help="work budget in cells / box points / "
+                        "character values / candidate delta entries / exponents and pairs")
     common.add_argument("--output", choices=("json", "text"), default=argparse.SUPPRESS)
 
     parser = _Parser(
         prog="deltasimplex",
         description="Delta-vectors of lattice simplices: compute, validate, classify.",
+        parents=[common],
     )
-    parser.add_argument("--budget", type=ascii_int, default=DEFAULT_BUDGET, help=budget_help)
-    parser.add_argument("--output", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("delta", parents=[common], help="delta-vector via the parallelepiped group")
@@ -351,7 +346,6 @@ def _build_parser():
 
     p = sub.add_parser("classify", parents=[common], help="admissibility and witness for volume 5 or 7")
     p.add_argument("--delta", required=True)
-    p.add_argument("--volume", type=ascii_int, required=True)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("enumerate", parents=[common], help="all admissible delta-vectors at a dimension")
@@ -377,7 +371,7 @@ def _build_parser():
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(argv, argparse.Namespace(budget=DEFAULT_BUDGET, output="json"))
         payload, ok = args.handler(args)
         _emit(payload, args)
         return EXIT_OK if ok else EXIT_NEGATIVE

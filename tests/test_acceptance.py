@@ -119,7 +119,7 @@ def test_criterion_5_witness_soundness():
 
 
 def test_criterion_6_negative_vectors():
-    report = admissible((1, 0, 2, 0, 1, 1, 0, 2, 0), 7)
+    report = admissible((1, 0, 2, 0, 1, 1, 0, 2, 0))
     assert report == ((2, 2),)
     for p, ell in ((7, 2), (11, 2), (11, 3), (13, 2)):
         delta = counterexample_family(p, ell)

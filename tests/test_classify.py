@@ -29,28 +29,28 @@ from deltasimplex import (
 
 class TestAdmissible:
     def test_single_block_is_admissible(self):
-        assert not admissible((1, 0, 4, 0), 5)
+        assert not admissible((1, 0, 4, 0))
 
     def test_remark_vector_rejected_with_witness_pair(self):
-        report = admissible((1, 0, 2, 0, 1, 1, 0, 2, 0), 7)
+        report = admissible((1, 0, 2, 0, 1, 1, 0, 2, 0))
         assert report
         assert report == ((2, 2),)
 
     def test_two_block_admissible(self):
-        assert not admissible((1, 2, 2), 5)
+        assert not admissible((1, 2, 2))
 
     def test_wrong_sum_is_an_error(self):
         with pytest.raises(ValueError):
-            admissible((1, 1, 1), 5)
+            admissible((1, 1, 1))
 
     def test_unsupported_volume(self):
         with pytest.raises(ValueError):
-            admissible((1, 1, 0, 2, 0, 0), 4)
+            admissible((1, 1, 0, 2, 0, 0))
 
 
 def case(values, dim):
     """Case of the witness of the delta-vector with these exponents."""
-    return witness(delta_from_exponents(ExponentList(values, dim)), len(values) + 1).case
+    return witness(delta_from_exponents(ExponentList(values, dim))).case
 
 
 class TestClassifyCase:
@@ -103,26 +103,26 @@ PINNED_WITNESSES = [
 )
 def test_pinned_witness_of_every_case(p, delta, coeffs, label, branch):
     spec = HNFSpec(p, coeffs, len(delta) - 1)
-    assert witness(delta, p) == Witness(spec, CaseId(label, branch), delta)
+    assert witness(delta) == Witness(spec, CaseId(label, branch), delta)
 
 
 class TestWitness:
     def test_single_block_witness(self):
-        found = witness((1, 0, 4, 0), 5)
+        found = witness((1, 0, 4, 0))
         assert found.spec == HNFSpec(5, (0, 1, 1, 0), 3)
         assert found.case.label == "i"
 
     def test_low_dimension_witness(self):
-        found = witness((1, 2, 2), 5)
+        found = witness((1, 2, 2))
         assert found.spec == HNFSpec(5, (0, 1, 0, 0), 2)
 
     def test_rejects_inadmissible(self):
         with pytest.raises(ValueError):
-            witness((1, 0, 2, 0, 1, 1, 0, 2, 0), 7)
+            witness((1, 0, 2, 0, 1, 1, 0, 2, 0))
 
     def test_rejects_composite_volume(self):
         with pytest.raises(ValueError):
-            witness((1, 1, 0, 2, 0, 0), 4)
+            witness((1, 1, 0, 2, 0, 0))
 
     def test_every_witness_verifies_by_box(self):
         for p, dmax in ((5, 7), (7, 6)):
@@ -149,7 +149,7 @@ class TestEnumerate:
     def test_equals_brute_force_filter(self, p):
         for d in range(1, 13):
             deltas = [delta_from_exponents(e) for e in self.sorted_lists(p, d)]
-            expected = sorted(delta for delta in deltas if not admissible(delta, p))
+            expected = sorted(delta for delta in deltas if not admissible(delta))
             assert [w.delta for w in enumerate_admissible(p, d)] == expected
 
     @pytest.mark.parametrize("p", [5, 7])
@@ -173,7 +173,7 @@ class TestEnumerate:
         deltas = [w.delta for w in witnesses]
         assert deltas == sorted(deltas)
         for w in witnesses:
-            assert not admissible(w.delta, 7)
+            assert not admissible(w.delta)
 
 
 class TestCounterexampleFamily:

@@ -268,7 +268,7 @@ class TestCheck:
 
 class TestClassify:
     def test_admissible_vector(self, capsys):
-        code, out, _ = run(capsys, ["classify", "--delta", "1,0,4,0", "--volume", "5"])
+        code, out, _ = run(capsys, ["classify", "--delta", "1,0,4,0"])
         assert code == 0
         payload = json.loads(out)
         assert payload["admissible"] is True
@@ -278,7 +278,7 @@ class TestClassify:
 
     def test_rejected_vector(self, capsys):
         code, out, _ = run(
-            capsys, ["classify", "--delta", "1,0,2,0,1,1,0,2,0", "--volume", "7"]
+            capsys, ["classify", "--delta", "1,0,2,0,1,1,0,2,0"]
         )
         assert code == 1
         payload = json.loads(out)
@@ -286,8 +286,24 @@ class TestClassify:
         assert payload["violations"] == [[2, 2]]
 
     def test_wrong_volume(self, capsys):
-        code, _, err = run(capsys, ["classify", "--delta", "1,1,0,2,0,0", "--volume", "5"])
-        assert code == 2
+        # the volume is the sum of the vector, here 4
+        code, out, err = run(capsys, ["classify", "--delta", "1,1,0,2,0,0"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == "classification covers volumes 5 and 7 only"
+
+    def test_volume_is_read_from_the_vector(self, capsys):
+        for delta, volume in (("1,0,4,0", 5), ("1,0,6,0", 7)):
+            code, out, _ = run(capsys, ["classify", "--delta", delta])
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["case"]["label"] == "i"
+            assert payload["witness"]["m"] == volume
+
+    def test_volume_flag_is_refused(self, capsys):
+        code, out, err = run(capsys, ["classify", "--delta", "1,0,4,0", "--volume", "7"])
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        assert json.loads(line) == {"error": {"type": "ValueError", "message": "unrecognized arguments: --volume 7"}}
 
 
 class TestEnumerateAndSearch:
@@ -417,7 +433,7 @@ class TestEveryCommandBudget:
         "oracle": (["oracle", "--simplex", "{triangle}"], 100, "bounding-box cells"),
         "hnf": (["hnf", "--m", "5", "--coeffs", "0,1,1,0", "--dim", "3"], 4, "box points"),
         "check": (["check", "--delta", "1,6006"], 10, "exponents and pairs"),
-        "classify": (["classify", "--delta", "1,0,4,0", "--volume", "5"], 3, "box points"),
+        "classify": (["classify", "--delta", "1,0,4,0"], 3, "box points"),
         "enumerate": (["enumerate", "--volume", "7", "--dim", "1000"], 10, "candidate delta entries"),
         "search": (["search", "--dim", "1", "--volume", "3000000"], 10, "character values"),
         "verify": (["verify", "--simplex", "{triangle}"], 4, "box points"),
@@ -448,13 +464,15 @@ class TestEveryCommandBudget:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["message"] == "delta_0 must be 1"
 
-    def test_classify_compares_the_sum_before_building_the_exponents(self, capsys):
-        code, out, err = run(capsys, ["classify", "--delta", "1,100000000000000", "--volume", "5"])
+    def test_classify_compares_the_sum_before_building_the_exponents(self, capsys, monkeypatch):
+        # 10**14 exponents do not fit in memory; the unclassified sum is refused first
+        monkeypatch.setattr(deltasimplex.classify, "exponents", lambda delta: pytest.fail("built the exponents"))
+        code, out, err = run(capsys, ["classify", "--delta", "1,100000000000000"])
         assert (code, out) == (2, "")
-        assert json.loads(err)["error"]["message"] == "delta-vector sums to 100000000000001, expected 5"
+        assert json.loads(err)["error"]["message"] == "classification covers volumes 5 and 7 only"
 
     def test_inadmissible_vector_builds_no_group(self, capsys):
-        code, out, _ = run(capsys, ["--budget", "3", "classify", "--delta", "1,0,2,0,1,1,0,2,0", "--volume", "7"])
+        code, out, _ = run(capsys, ["--budget", "3", "classify", "--delta", "1,0,2,0,1,1,0,2,0"])
         assert code == 1
         assert json.loads(out)["admissible"] is False
 
@@ -514,7 +532,7 @@ class TestBoxRouteDisagreement:
     CASES = {
         "hnf": (["hnf", "--m", "5", "--coeffs", "0,1,1,0", "--dim", "3"], "agree"),
         "verify": (["verify", "--m", "5", "--coeffs", "0,1,1,0", "--dim", "3"], "agree"),
-        "classify": (["classify", "--delta", "1,0,4,0", "--volume", "5"], "verified"),
+        "classify": (["classify", "--delta", "1,0,4,0"], "verified"),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -570,12 +588,12 @@ class TestContractFault:
         "verify-interior-off-by-one": (["verify", "--simplex", "{triangle}"], _interior_off_by_one,
                                        "reciprocity fails at (n, counted, predicted) = (1, 1, 0)"),
         "classify-overflowing-witness": (
-            ["classify", "--delta", "1,0,4,0", "--volume", "5"], _overflowing_case_i,
+            ["classify", "--delta", "1,0,4,0"], _overflowing_case_i,
             "case i gave coefficients (0, 7, 1, 0): coefficient sum must be at most dim - 1",
         ),
         # a witness formula that returns too few coefficients is a fault of the table, not of the input
         "classify-short-witness": (
-            ["classify", "--delta", "1,0,4,0", "--volume", "5"], _short_case_i,
+            ["classify", "--delta", "1,0,4,0"], _short_case_i,
             "case i gave coefficients (0, 1, 1): expected 4 coefficients, got 3",
         ),
         "enumerate-short-witness": (
@@ -632,7 +650,7 @@ class TestMalformedInput:
             'expected a JSON object with a single "vertices" key',
         ),
         "classify-volume-11": (
-            ["classify", "--delta", "1,0,4,0", "--volume", "11"], None, "classification covers volumes 5 and 7 only",
+            ["classify", "--delta", "1,1,1,1,1,1,1,1,1,1,1"], None, "classification covers volumes 5 and 7 only",
         ),
         "enumerate-volume-9": (
             ["enumerate", "--volume", "9", "--dim", "3"], None, "classification covers volumes 5 and 7 only",
@@ -698,6 +716,14 @@ def test_long_flags_by_full_name_only(capsys, before, after, parser):
                 assert error["message"].startswith(f"unrecognized arguments: {prefix}")
 
 
+def test_global_flags_are_declared_once():
+    """The top level and every command hold the same --budget and --output actions."""
+    parsers = [parser for _, _, parser in _parsers()]
+    assert len(parsers) == 10
+    for flag in ("--budget", "--output"):
+        assert len({id(parser._option_string_actions[flag]) for parser in parsers}) == 1
+
+
 class TestOutputModes:
     def test_deterministic_output(self, capsys, triangle_file):
         _, first, _ = run(capsys, ["box", "--simplex", triangle_file])
@@ -720,10 +746,10 @@ class TestOutputModes:
         )
 
     def test_text_mode_prints_json_null_as_null(self, capsys):
-        code, out, _ = run(capsys, ["--output", "text", "classify", "--delta", "1,0,4,0", "--volume", "5"])
+        code, out, _ = run(capsys, ["--output", "text", "classify", "--delta", "1,0,4,0"])
         assert code == 0
         assert "  branch: null\n" in out
-        code, out, _ = run(capsys, ["--output", "text", "classify", "--delta", "1,0,2,0,1,1,0,2,0", "--volume", "7"])
+        code, out, _ = run(capsys, ["--output", "text", "classify", "--delta", "1,0,2,0,1,1,0,2,0"])
         assert code == 1
         assert "case: null\nwitness: null\nverified: false\n" in out
         assert "None" not in out
@@ -849,8 +875,8 @@ def _reference_jsonable(obj):
         ["enumerate", "--volume", "5", "--dim", "30"],
         ["enumerate", "--volume", "7", "--dim", "20"],
         ["hnf", "--m", "7", "--coeffs", "1,0,0,0,0,1", "--dim", "4"],
-        ["classify", "--delta", "1,0,4,0", "--volume", "5"],
-        ["classify", "--delta", "1,0,2,0,1,1,0,2,0", "--volume", "7"],
+        ["classify", "--delta", "1,0,4,0"],
+        ["classify", "--delta", "1,0,2,0,1,1,0,2,0"],
     ],
 )
 def test_emit_matches_the_reference_path(capsys, monkeypatch, argv, output):

@@ -155,17 +155,18 @@ def _argv_list(rng, files):
             delta = [1] + [0] * d
             for _ in range(p - 1):
                 delta[rng.randint(1, d)] += 1
-            calls.append(["classify", "--delta", ",".join(map(str, delta)), "--volume", str(p)])
+            calls.append(["classify", "--delta", ",".join(map(str, delta))])
     calls += [
-        ["classify", "--delta", "1,0,4,0", "--volume", "5"],
-        ["--output", "text", "classify", "--delta", "1,0,4,0", "--volume", "5"],
-        ["--output", "text", "classify", "--delta", "1,0,2,0,1,1,0,2,0", "--volume", "7"],
-        ["classify", "--delta", "1,0,2,0,1,1,0,2,0", "--volume", "7"],
-        ["--budget", "3", "classify", "--delta", "1,0,2,0,1,1,0,2,0", "--volume", "7"],
-        ["--budget", "3", "classify", "--delta", "1,0,4,0", "--volume", "5"],
+        ["classify", "--delta", "1,0,4,0"],
+        ["--output", "text", "classify", "--delta", "1,0,4,0"],
+        ["--output", "text", "classify", "--delta", "1,0,2,0,1,1,0,2,0"],
+        ["classify", "--delta", "1,0,2,0,1,1,0,2,0"],
+        ["--budget", "3", "classify", "--delta", "1,0,2,0,1,1,0,2,0"],
+        ["--budget", "3", "classify", "--delta", "1,0,4,0"],
+        # classify reads the volume from the vector and has no --volume flag
         ["classify", "--delta", "1,0,4,0", "--volume", "7"],
-        ["classify", "--delta", "1,100000000000000", "--volume", "5"],
-        ["classify", "--delta", "2,0,4,0", "--volume", "5"],
+        ["classify", "--delta", "1,100000000000000"],
+        ["classify", "--delta", "2,0,4,0"],
         ["classify", "--delta", "1,0,4,0", "--volume", "x"],
     ]
 
@@ -222,16 +223,16 @@ LATER_CALLS = [
     ["delta", "--sim", "segment.json"],
     ["hnf", "--m", "5", "--coef", "0,1,1,0", "--dim", "3"],
     # the classification table has volumes 5 and 7 only
-    ["classify", "--delta", "1,0,4,0", "--volume", "11"],
+    ["classify", "--delta", "1,1,1,1,1,1,1,1,1,1,1"],
     ["enumerate", "--volume", "9", "--dim", "3"],
     # delta-vectors in a list print inline
     ["--output", "text", "search", "--dim", "3", "--volume", "7"],
     # a box group above one 512-element piece, whose last piece is narrower
     ["delta", "--simplex", "wide.json"],
     # witness case viii, one vector for each sign of i1 + i3 - 2*i2
-    ["classify", "--delta", "1,1,1,1,1,1,1", "--volume", "7"],
-    ["classify", "--delta", "1,0,1,0,1,1,1,1,0,1,0", "--volume", "7"],
-    ["classify", "--delta", "1,0,1,1,0,1,1,0,1,1,0", "--volume", "7"],
+    ["classify", "--delta", "1,1,1,1,1,1,1"],
+    ["classify", "--delta", "1,0,1,0,1,1,1,1,0,1,0"],
+    ["classify", "--delta", "1,0,1,1,0,1,1,0,1,1,0"],
 ]
 
 

@@ -89,7 +89,7 @@ class TestExponents:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: witness((1, 0, 4.9, 0), 5),
+        lambda: witness((1, 0, 4.9, 0)),
         lambda: run_all_checks((1, 1.9, 2.5)),
         lambda: exponents((1, "2", 0)),
         lambda: exponents((1, True, 3)),
@@ -104,7 +104,7 @@ class TestExponents:
         lambda: count_lattice_points(Simplex(((0, 0), (1, 0), (2, 5))), True),
         lambda: enumerate_admissible(5.0, 3),
         lambda: enumerate_admissible(5, 3.0),
-        lambda: admissible((1, 0, 4, 0), 5.0),
+        lambda: admissible((1, 0, 4.0, 0)),  # the volume is the sum of the entries
         lambda: is_prime(2.5),
         lambda: is_prime("7"),
         lambda: is_prime(True),
@@ -134,15 +134,16 @@ def test_library_inputs_are_integers_only(call):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: witness((1,) * 11, 11), "covers volumes 5 and 7 only"),
+        (lambda: witness((1,) * 11), "covers volumes 5 and 7 only"),
         (lambda: enumerate_admissible(11, 3), "covers volumes 5 and 7 only"),
         (lambda: exact_det([]), "matrix must be nonempty"),
         (lambda: row_hermite_form([[0, 0], [0, 0]]), "matrix is singular"),
         (lambda: HNFSpec(5, (0, 0, 0, 0), 0), "dimension must be >= 1"),
         (lambda: ExponentList((0,), 1), r"exponents must lie in \[1, dim\]"),
+        (lambda: ExponentList((), 0), "dimension must be >= 1"),
     ],
     ids=["case-volume-11", "enumerate-volume-11", "det-empty", "hermite-singular",
-         "spec-dim-0", "exponent-0"],
+         "spec-dim-0", "exponent-0", "exponent-dim-0"],
 )
 def test_library_refuses_values_outside_its_contract(call, message):
     with pytest.raises(ValueError, match=message):

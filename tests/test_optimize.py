@@ -61,17 +61,17 @@ MISREAD_COMPLETION = (
 FAULTS = {
     "witness-coefficients-overflow": (
         "classify._PATTERN_CASES[5][(4,)] = ('i', lambda *_: (0, 7, 1, 0))",
-        "lambda: classify.witness((1, 0, 4, 0), 5), lambda: classify.enumerate_admissible(5, 3)",
+        "lambda: classify.witness((1, 0, 4, 0)), lambda: classify.enumerate_admissible(5, 3)",
         "case i gave coefficients (0, 7, 1, 0): coefficient sum must be at most dim - 1",
     ),
     "witness-coefficients-negative": (
         "classify._PATTERN_CASES[5][(4,)] = ('i', lambda *_: (0, -1, 1, 0))",
-        "lambda: classify.witness((1, 0, 4, 0), 5), lambda: classify.enumerate_admissible(5, 3)",
+        "lambda: classify.witness((1, 0, 4, 0)), lambda: classify.enumerate_admissible(5, 3)",
         "case i gave coefficients (0, -1, 1, 0): coefficients must be nonnegative",
     ),
     "witness-coefficients-wrong-length": (
         "classify._PATTERN_CASES[5][(4,)] = ('i', lambda *_: (0, 1, 1))",
-        "lambda: classify.witness((1, 0, 4, 0), 5), lambda: classify.enumerate_admissible(5, 3)",
+        "lambda: classify.witness((1, 0, 4, 0)), lambda: classify.enumerate_admissible(5, 3)",
         "case i gave coefficients (0, 1, 1): expected 4 coefficients, got 3",
     ),
     # unchecked, the cyclic sweep at (3, 7) returns ((1, 0, 0, 0),), a vector of volume 1
@@ -82,7 +82,7 @@ FAULTS = {
     ),
     "witness-pattern-unmatched": (
         "del classify._PATTERN_CASES[5][(4,)]",
-        "lambda: classify.witness((1, 0, 4, 0), 5), lambda: classify.enumerate_admissible(5, 3)",
+        "lambda: classify.witness((1, 0, 4, 0)), lambda: classify.enumerate_admissible(5, 3)",
         "no case matches multiplicity pattern (4,)",
     ),
     "closed-form-exponent-range": (
@@ -92,7 +92,7 @@ FAULTS = {
     ),
     "witness-closed-form": (
         "classify.closed_form_delta = lambda spec: (1,) * (spec.dim + 1)",
-        "lambda: classify.witness((1, 0, 4, 0), 5), lambda: classify.enumerate_admissible(5, 3)",
+        "lambda: classify.witness((1, 0, 4, 0)), lambda: classify.enumerate_admissible(5, 3)",
         "not the requested one",
     ),
     # the simplex has group Z/4; doubling the generator column makes it generate
@@ -230,8 +230,8 @@ def test_internal_fault_exits_4_under_optimize(tmp_path):
     triangle = tmp_path / "triangle.json"
     triangle.write_text('{"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 3, 5]]}')
     for fault, argv, phrase in (
-        (FAULTS["witness-closed-form"][0], ["classify", "--delta", "1,0,4,0", "--volume", "5"], "not the requested one"),
-        (FAULTS["witness-pattern-unmatched"][0], ["classify", "--delta", "1,0,4,0", "--volume", "5"], "no case matches"),
+        (FAULTS["witness-closed-form"][0], ["classify", "--delta", "1,0,4,0"], "not the requested one"),
+        (FAULTS["witness-pattern-unmatched"][0], ["classify", "--delta", "1,0,4,0"], "no case matches"),
         (FAULTS["witness-coefficients-wrong-length"][0], ["enumerate", "--volume", "5", "--dim", "3"],
          "expected 4 coefficients, got 3"),
         (MISREAD_COMPLETION, ["search", "--dim", "3", "--volume", "7"], "give age counts summing to"),

@@ -42,7 +42,7 @@ def records():
         ehrhart_table(TRIANGLE),
         CaseId("iv"),
         CaseId("viii", -1),
-        witness((1, 0, 4, 0), 5),
+        witness((1, 0, 4, 0)),
     ]
 
 
