@@ -5,11 +5,10 @@ from .box import BoxPoint, delta_from_box, enumerate_box
 from .classify import (
     CaseId,
     Witness,
-    admissible,
+    classify_delta,
     counterexample_family,
     enumerate_admissible,
     iter_hnf_simplices,
-    witness,
 )
 from .constraints import (
     ExponentList,
@@ -57,13 +56,13 @@ __all__ = [
     "SNFResult",
     "Simplex",
     "Witness",
-    "admissible",
     "build_simplex",
     "cell_estimate",
     "check_hibi",
     "check_pairing",
     "check_stanley",
     "check_superadditive",
+    "classify_delta",
     "closed_form_delta",
     "count_lattice_points",
     "counterexample_family",
@@ -83,5 +82,4 @@ __all__ = [
     "reduced_pairs",
     "run_all_checks",
     "smith_normal_form",
-    "witness",
 ]

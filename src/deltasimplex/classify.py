@@ -92,22 +92,17 @@ class Witness(namedtuple("Witness", "spec case delta")):
     __slots__ = ()
 
 
-def admissible(delta) -> tuple:
-    """Violations of pairing + superadditivity of a vector summing to 5 or 7; empty means admissible.
+def classify_delta(delta) -> tuple[tuple, Witness | None]:
+    """Pairing + superadditivity violations of a vector summing to 5 or 7, and its witness if there are none.
 
-    Superadditivity is checked on the reduced pair set, which is equivalent
-    to the full set once the pairing equalities hold. Violations merge both
-    sub-checks' index pairs.
+    Superadditivity is checked on the reduced pair set, equivalent to the full set once the pairing holds.
+    The witness, a family member realizing the vector, is checked: a valid `HNFSpec` whose closed form is the vector.
     """
-    return _exponents_and_violations(delta)[1]
-
-
-def _exponents_and_violations(delta) -> tuple[ExponentList, tuple]:
-    """The exponent list of `delta`, built once, and its `admissible` violations."""
     p = sum(_validated_delta(delta))
     _cases(p)  # before building the list of p - 1 exponents
     e = exponents(delta)
-    return e, check_pairing(e) + _superadditive(e.values, reduced_pairs(p))
+    violations = check_pairing(e) + _superadditive(e.values, reduced_pairs(p))
+    return violations, None if violations else _witness(e)
 
 
 def _case(e: ExponentList):
@@ -118,19 +113,6 @@ def _case(e: ExponentList):
         raise AssertionError(f"no case matches multiplicity pattern {pattern}")
     label, formula = found
     return CaseId(label, _viii_sign(*e.values) if label == "viii" else None), formula
-
-
-def witness(delta) -> Witness:
-    """Construct a family member realizing an admissible delta-vector.
-
-    The construction self-verifies: its coefficients must make a valid `HNFSpec`
-    (m - 1 of them, nonnegative, fitting the carried dimension), and the closed
-    form must reproduce the requested vector.
-    """
-    e, violations = _exponents_and_violations(delta)
-    if violations:
-        raise ValueError(f"delta-vector is not admissible: violations {violations}")
-    return _witness(e)
 
 
 def _witness(e: ExponentList) -> Witness:

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .box import delta_from_box, enumerate_box
-from .classify import admissible, enumerate_admissible, witness
+from .classify import classify_delta, enumerate_admissible
 from .constraints import _validated_delta, least_prime_divisor, run_all_checks
 from .ehrhart import ehrhart_delta, ehrhart_table
 from .groups import exhaustive_search
@@ -209,8 +209,7 @@ def _cmd_check(args):
 
 
 def _cmd_classify(args):
-    delta = _parse_int_list(args.delta, "--delta")
-    violations = admissible(delta)
+    violations, found = classify_delta(_parse_int_list(args.delta, "--delta"))
     if violations:
         return {
             "admissible": False,
@@ -219,7 +218,6 @@ def _cmd_classify(args):
             "witness": None,
             "verified": False,
         }, False
-    found = witness(delta)
     verified = delta_from_box(_box_budget(build_simplex(found.spec), args.budget)) == found.delta
     return {
         "admissible": True,
@@ -305,61 +303,62 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _build_parser():
-    common = _Parser(add_help=False)  # actions shared by the top level and every command; `main` supplies defaults
-    common.add_argument("--budget", type=ascii_int, default=argparse.SUPPRESS, help="work budget in cells / box points / "
-                        "character values / candidate delta entries / exponents and pairs")
-    common.add_argument("--output", choices=("json", "text"), default=argparse.SUPPRESS)
+_GLOBAL_FLAGS = _Parser(add_help=False)  # actions shared by the top level and every command; `_parse` supplies defaults
+_GLOBAL_FLAGS.add_argument("--budget", type=ascii_int, default=argparse.SUPPRESS, help="work budget in cells / box "
+                           "points / character values / candidate delta entries / exponents and pairs")
+_GLOBAL_FLAGS.add_argument("--output", choices=("json", "text"), default=argparse.SUPPRESS)
 
+
+def _build_parser():
     parser = _Parser(
         prog="deltasimplex",
         description="Delta-vectors of lattice simplices: compute, validate, classify.",
-        parents=[common],
+        parents=[_GLOBAL_FLAGS],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("delta", parents=[common], help="delta-vector via the parallelepiped group")
+    p = sub.add_parser("delta", parents=[_GLOBAL_FLAGS], help="delta-vector via the parallelepiped group")
     p.add_argument("--simplex", required=True, metavar="FILE")
     p.set_defaults(handler=_cmd_delta)
 
-    p = sub.add_parser("box", parents=[common], help="list the parallelepiped points")
+    p = sub.add_parser("box", parents=[_GLOBAL_FLAGS], help="list the parallelepiped points")
     p.add_argument("--simplex", required=True, metavar="FILE")
     p.set_defaults(handler=_cmd_box)
 
-    p = sub.add_parser("oracle", parents=[common], help="dilate counts and delta-vector by brute force")
+    p = sub.add_parser("oracle", parents=[_GLOBAL_FLAGS], help="dilate counts and delta-vector by brute force")
     p.add_argument("--simplex", required=True, metavar="FILE")
     p.set_defaults(handler=_cmd_oracle)
 
-    p = sub.add_parser("hnf", parents=[common], help="build a one-row family member and its delta-vector")
+    p = sub.add_parser("hnf", parents=[_GLOBAL_FLAGS], help="build a one-row family member and its delta-vector")
     p.add_argument("--m", type=ascii_int, required=True)
     p.add_argument("--coeffs", required=True)
     p.add_argument("--dim", type=ascii_int, required=True)
     p.set_defaults(handler=_cmd_hnf)
 
     p = sub.add_parser(
-        "check", parents=[common],
+        "check", parents=[_GLOBAL_FLAGS],
         help="run all applicable delta-vector checks; exit 0 means no known necessary "
         "condition fails, not that some simplex realizes the vector",
     )
     p.add_argument("--delta", required=True)
     p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("classify", parents=[common], help="admissibility and witness for volume 5 or 7")
+    p = sub.add_parser("classify", parents=[_GLOBAL_FLAGS], help="admissibility and witness for volume 5 or 7")
     p.add_argument("--delta", required=True)
     p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("enumerate", parents=[common], help="all admissible delta-vectors at a dimension")
+    p = sub.add_parser("enumerate", parents=[_GLOBAL_FLAGS], help="all admissible delta-vectors at a dimension")
     p.add_argument("--volume", type=ascii_int, required=True)
     p.add_argument("--dim", type=ascii_int, required=True)
     p.add_argument("--exhaustive-crosscheck", action="store_true")
     p.set_defaults(handler=_cmd_enumerate)
 
-    p = sub.add_parser("search", parents=[common], help="exhaustive delta-vector search over group characters")
+    p = sub.add_parser("search", parents=[_GLOBAL_FLAGS], help="exhaustive delta-vector search over group characters")
     p.add_argument("--dim", type=ascii_int, required=True)
     p.add_argument("--volume", type=ascii_int, required=True)
     p.set_defaults(handler=_cmd_search)
 
-    p = sub.add_parser("verify", parents=[common], help="compare all applicable delta-vector methods")
+    p = sub.add_parser("verify", parents=[_GLOBAL_FLAGS], help="compare all applicable delta-vector methods")
     p.add_argument("--simplex", metavar="FILE")
     p.add_argument("--m", type=ascii_int)
     p.add_argument("--coeffs")
@@ -369,9 +368,20 @@ def _build_parser():
     return parser
 
 
+def _parse(argv):
+    """Parse argv, naming an unknown flag before the command instead of taking its value for the command."""
+    try:
+        first = _GLOBAL_FLAGS.parse_known_args(argv)[1][:1]
+    except ValueError:  # a malformed global flag: the full parse reports argv's first error
+        first = []
+    if first and first[0].startswith("-") and first[0] not in ("-h", "--help"):
+        raise ValueError(f"unrecognized arguments: {first[0]}")
+    return _build_parser().parse_args(argv, argparse.Namespace(budget=DEFAULT_BUDGET, output="json"))
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv, argparse.Namespace(budget=DEFAULT_BUDGET, output="json"))
+        args = _parse(argv)
         payload, ok = args.handler(args)
         _emit(payload, args)
         return EXIT_OK if ok else EXIT_NEGATIVE

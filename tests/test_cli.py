@@ -378,17 +378,24 @@ class TestEnumerateAndSearch:
         [
             ["--threads", "2", "search", "--dim", "3", "--volume", "7"],
             ["search", "--dim", "3", "--volume", "7", "--threads", "2"],
+            ["--bud", "5", "search", "--dim", "2", "--volume", "5"],
+            ["--out", "text", "search", "--dim", "2", "--volume", "5"],
         ],
     )
     def test_threads_flag_is_a_usage_error(self, capsys, argv):
+        # an unknown flag is named wherever it stands; before the command its value is not taken for the command
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         [line] = err.splitlines()
         error = json.loads(line)["error"]
         assert error["type"] == "ValueError"
-        # before the command argparse takes the "2" for the command; after it, "--threads 2" is left over
-        blamed = "argument command: invalid choice: '2'" if argv[0] == "--threads" else "unrecognized arguments: --threads 2"
-        assert error["message"].startswith(blamed)
+        [flag] = [a for a in argv if a in ("--threads", "--bud", "--out")]
+        assert error["message"].startswith(f"unrecognized arguments: {flag}")
+
+    def test_malformed_global_flag_after_the_command_keeps_argv_order(self, capsys):
+        code, out, err = run(capsys, ["search", "--dim", "x", "--budget", "1e3"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == "argument --dim: invalid ascii_int value: 'x'"
 
 
 class TestBoxBudget:
@@ -470,6 +477,14 @@ class TestEveryCommandBudget:
         code, out, err = run(capsys, ["classify", "--delta", "1,100000000000000"])
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["message"] == "classification covers volumes 5 and 7 only"
+
+    def test_classify_builds_the_exponents_once(self, capsys, monkeypatch):
+        calls = []
+        real = deltasimplex.classify.exponents
+        monkeypatch.setattr(deltasimplex.classify, "exponents", lambda delta: calls.append(delta) or real(delta))
+        code, out, _ = run(capsys, ["classify", "--delta", "1,0,4,0"])
+        assert code == 0 and json.loads(out)["verified"] is True
+        assert calls == [(1, 0, 4, 0)]
 
     def test_inadmissible_vector_builds_no_group(self, capsys):
         code, out, _ = run(capsys, ["--budget", "3", "classify", "--delta", "1,0,2,0,1,1,0,2,0"])

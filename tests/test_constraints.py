@@ -8,12 +8,12 @@ from deltasimplex import (
     ExponentList,
     HNFSpec,
     Simplex,
-    admissible,
     cell_estimate,
     check_hibi,
     check_pairing,
     check_stanley,
     check_superadditive,
+    classify_delta,
     count_lattice_points,
     counterexample_family,
     delta_from_exponents,
@@ -25,7 +25,6 @@ from deltasimplex import (
     least_prime_divisor,
     reduced_pairs,
     run_all_checks,
-    witness,
 )
 from deltasimplex.classify import _case
 from deltasimplex.constraints import _superadditive
@@ -89,7 +88,7 @@ class TestExponents:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: witness((1, 0, 4.9, 0)),
+        lambda: classify_delta((1, 0, 4.9, 0)),
         lambda: run_all_checks((1, 1.9, 2.5)),
         lambda: exponents((1, "2", 0)),
         lambda: exponents((1, True, 3)),
@@ -104,7 +103,7 @@ class TestExponents:
         lambda: count_lattice_points(Simplex(((0, 0), (1, 0), (2, 5))), True),
         lambda: enumerate_admissible(5.0, 3),
         lambda: enumerate_admissible(5, 3.0),
-        lambda: admissible((1, 0, 4.0, 0)),  # the volume is the sum of the entries
+        lambda: classify_delta((1, 0, 4.0, 0)),  # the volume is the sum of the entries
         lambda: is_prime(2.5),
         lambda: is_prime("7"),
         lambda: is_prime(True),
@@ -134,7 +133,7 @@ def test_library_inputs_are_integers_only(call):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: witness((1,) * 11), "covers volumes 5 and 7 only"),
+        (lambda: classify_delta((1,) * 11), "covers volumes 5 and 7 only"),
         (lambda: enumerate_admissible(11, 3), "covers volumes 5 and 7 only"),
         (lambda: exact_det([]), "matrix must be nonempty"),
         (lambda: row_hermite_form([[0, 0], [0, 0]]), "matrix is singular"),

@@ -61,17 +61,17 @@ MISREAD_COMPLETION = (
 FAULTS = {
     "witness-coefficients-overflow": (
         "classify._PATTERN_CASES[5][(4,)] = ('i', lambda *_: (0, 7, 1, 0))",
-        "lambda: classify.witness((1, 0, 4, 0)), lambda: classify.enumerate_admissible(5, 3)",
+        "lambda: classify.classify_delta((1, 0, 4, 0)), lambda: classify.enumerate_admissible(5, 3)",
         "case i gave coefficients (0, 7, 1, 0): coefficient sum must be at most dim - 1",
     ),
     "witness-coefficients-negative": (
         "classify._PATTERN_CASES[5][(4,)] = ('i', lambda *_: (0, -1, 1, 0))",
-        "lambda: classify.witness((1, 0, 4, 0)), lambda: classify.enumerate_admissible(5, 3)",
+        "lambda: classify.classify_delta((1, 0, 4, 0)), lambda: classify.enumerate_admissible(5, 3)",
         "case i gave coefficients (0, -1, 1, 0): coefficients must be nonnegative",
     ),
     "witness-coefficients-wrong-length": (
         "classify._PATTERN_CASES[5][(4,)] = ('i', lambda *_: (0, 1, 1))",
-        "lambda: classify.witness((1, 0, 4, 0)), lambda: classify.enumerate_admissible(5, 3)",
+        "lambda: classify.classify_delta((1, 0, 4, 0)), lambda: classify.enumerate_admissible(5, 3)",
         "case i gave coefficients (0, 1, 1): expected 4 coefficients, got 3",
     ),
     # unchecked, the cyclic sweep at (3, 7) returns ((1, 0, 0, 0),), a vector of volume 1
@@ -82,7 +82,7 @@ FAULTS = {
     ),
     "witness-pattern-unmatched": (
         "del classify._PATTERN_CASES[5][(4,)]",
-        "lambda: classify.witness((1, 0, 4, 0)), lambda: classify.enumerate_admissible(5, 3)",
+        "lambda: classify.classify_delta((1, 0, 4, 0)), lambda: classify.enumerate_admissible(5, 3)",
         "no case matches multiplicity pattern (4,)",
     ),
     "closed-form-exponent-range": (
@@ -92,7 +92,7 @@ FAULTS = {
     ),
     "witness-closed-form": (
         "classify.closed_form_delta = lambda spec: (1,) * (spec.dim + 1)",
-        "lambda: classify.witness((1, 0, 4, 0)), lambda: classify.enumerate_admissible(5, 3)",
+        "lambda: classify.classify_delta((1, 0, 4, 0)), lambda: classify.enumerate_admissible(5, 3)",
         "not the requested one",
     ),
     # the simplex has group Z/4; doubling the generator column makes it generate
@@ -164,6 +164,14 @@ FAULTS = {
         ")(real(m))",
         "lambda: lattice.smith_normal_form([[2, 1], [0, 3]])",
         "of matrix @ right is not a multiple of",
+    ),
+    # with the offender step skipped, [[2, 0], [0, 3]] keeps its diagonal (2, 3): every
+    # column is a multiple of its entry, so only the chain check sees that 2 does not divide 3
+    "snf-divisibility-chain": (
+        "import inspect\n"
+        "exec(inspect.getsource(lattice.smith_normal_form).replace('if offender is None:', 'if True:'), vars(lattice))",
+        "lambda: lattice.smith_normal_form([[2, 0], [0, 3]])",
+        "Smith form diagonal (2, 3) is not a divisibility chain",
     ),
     "dilate-count-off-by-one": (
         "real = ehrhart._count_dilates\n"

@@ -20,11 +20,11 @@ from deltasimplex import (
     Simplex,
     SNFResult,
     Witness,
+    classify_delta,
     ehrhart_table,
     enumerate_box,
     exponents,
     smith_normal_form,
-    witness,
 )
 
 PACKAGE = Path(deltasimplex.__file__).parent
@@ -42,7 +42,7 @@ def records():
         ehrhart_table(TRIANGLE),
         CaseId("iv"),
         CaseId("viii", -1),
-        witness((1, 0, 4, 0)),
+        classify_delta((1, 0, 4, 0))[1],
     ]
 
 
