@@ -53,7 +53,7 @@ def _box_pieces(s: Simplex):
     rows; its spare lanes hold elements of other pieces.
     """
     d = s.dim
-    snf = smith_normal_form(tuple(zip(*s.homogeneous_matrix())))
+    snf = smith_normal_form(tuple(zip(*s.vertices)) + ((1,) * (d + 1),))
     den = snf.diagonal[-1]
 
     generators = []

@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 from .box import delta_from_box, enumerate_box
@@ -125,10 +126,11 @@ def _parse_int_list(text, what):
 def _load_simplex(path):
     """Strict parse of a simplex file {"vertices": [[int, ...], ...]}; floats are rejected."""
     text = Path(path).read_text(encoding="utf-8")
-    try:
-        obj = json.loads(text)
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply") from None
+    # the file nests three deep; deeper text is refused before the parser, whose depth limit varies by interpreter
+    outside_strings = re.sub(r'"(?:[^"\\]|\\.)*"', "", text)
+    if max(accumulate((c in "[{") - (c in "]}") for c in outside_strings), default=0) > 3:
+        raise ValueError(f"{path}: JSON nested too deeply")
+    obj = json.loads(text)
     if not isinstance(obj, dict) or set(obj) != {"vertices"}:
         raise ValueError('expected a JSON object with a single "vertices" key')
     rows = obj["vertices"]

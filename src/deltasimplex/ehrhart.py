@@ -10,7 +10,7 @@ of every smaller one. Nothing here shares code with the parallelepiped-group pat
 from collections import namedtuple
 from math import comb
 
-from .lattice import DEFAULT_BUDGET, Simplex, _as_int, row_hermite_form, within_budget
+from .lattice import DEFAULT_BUDGET, Simplex, _as_int, _edge_matrix, row_hermite_form, within_budget
 
 
 def cell_estimate(s: Simplex, n: int) -> int:
@@ -24,11 +24,10 @@ def cell_estimate(s: Simplex, n: int) -> int:
     return cells
 
 
-def count_lattice_points(
-    s: Simplex, n: int, interior: bool = False, budget: int = DEFAULT_BUDGET
-) -> int:
-    """Exact number of lattice points in the n-th dilate (interior points if asked)."""
-    return _count_dilates(s, (n,), budget)[interior][0]
+def count_lattice_points(s: Simplex, n: int, budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
+    """Exact numbers of lattice points in the n-th dilate: (closed, interior), from one walk."""
+    (closed,), (interior,) = _count_dilates(s, (n,), budget)
+    return closed, interior
 
 
 def _count_dilates(s, dilates, budget):
@@ -49,7 +48,7 @@ def _count_dilates(s, dilates, budget):
     leaf that a smaller one cannot reach adds 0 to its count.
     """
     within_budget(cell_estimate(s, max(dilates)), budget, "bounding-box cells")
-    h = row_hermite_form(s.edge_matrix())
+    h = row_hermite_form(_edge_matrix(s.vertices))
     det = s.normalized_volume  # the product of H's positive diagonal
     pivots = [det // h[k][k] for k in range(s.dim)]
     h00, pivot0, total = h[0][0], pivots[0], max(dilates) * det

@@ -248,11 +248,3 @@ class Simplex(namedtuple("Simplex", "vertices normalized_volume")):
     @property
     def dim(self) -> int:
         return len(self.vertices) - 1
-
-    def edge_matrix(self):
-        """Columns v_i - v_0 for i = 1..d."""
-        return _edge_matrix(self.vertices)
-
-    def homogeneous_matrix(self):
-        """Rows (v_i, 1) for i = 0..d."""
-        return tuple(v + (1,) for v in self.vertices)

@@ -72,7 +72,7 @@ class TestEnumerate:
         rng = random.Random(13)
         for _ in range(50):
             s = random_simplex(rng, max_dim=3, max_volume=40)
-            hom = s.homogeneous_matrix()
+            hom = tuple(v + (1,) for v in s.vertices)
             for p in enumerate_box(s):
                 for j in range(s.dim + 1):
                     total = sum(n * hom[i][j] for i, n in enumerate(p.numerators))

@@ -100,6 +100,23 @@ class TestDelta:
             "message": f"{path}: JSON nested too deeply",
         }
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"vertices": [[[0]], [[5]]]}', "{path}: JSON nested too deeply"),
+            # brackets inside strings, escaped quotes among them, do not nest
+            ('{"vertices": [[0], [5]], "\\"[[[[": "]]]]\\""}', 'expected a JSON object with a single "vertices" key'),
+        ],
+        ids=["one-level-too-deep", "brackets-in-strings"],
+    )
+    def test_nesting_is_read_outside_strings_up_to_three_levels(self, capsys, tmp_path, text, message):
+        """A simplex file nests three deep, so depth four is refused whatever the interpreter's parser accepts."""
+        path = tmp_path / "file.json"
+        path.write_text(text)
+        code, out, err = run(capsys, ["delta", "--simplex", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == message.format(path=path)
+
 
 class TestBox:
     def test_segment_points(self, capsys, segment_file):

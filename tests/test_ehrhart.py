@@ -15,7 +15,7 @@ from deltasimplex import (
     ehrhart_delta,
     ehrhart_table,
 )
-from deltasimplex.lattice import row_hermite_form
+from deltasimplex.lattice import _edge_matrix, row_hermite_form
 from conftest import random_simplex
 
 SEGMENT5 = Simplex(((0,), (5,)))
@@ -29,20 +29,20 @@ def unit_simplex(d):
 
 class TestCounting:
     def test_segment_dilate(self):
-        assert count_lattice_points(SEGMENT5, 2) == 11
+        assert count_lattice_points(SEGMENT5, 2) == (11, 9)
 
     def test_unit_simplex_counts_are_binomials(self):
         for d in (1, 2, 3, 4):
             s = unit_simplex(d)
             for n in (1, 2, 3):
-                assert count_lattice_points(s, n) == comb(n + d, d)
+                assert count_lattice_points(s, n) == (comb(n + d, d), comb(n - 1, d))
 
     def test_triangle_has_no_extra_points(self):
-        assert count_lattice_points(TRIANGLE235, 1) == 4
+        assert count_lattice_points(TRIANGLE235, 1) == (4, 0)
 
     def test_interior_counts(self):
-        assert count_lattice_points(SEGMENT5, 1, interior=True) == 4
-        assert count_lattice_points(unit_simplex(2), 1, interior=True) == 0
+        assert count_lattice_points(SEGMENT5, 1)[1] == 4
+        assert count_lattice_points(unit_simplex(2), 1)[1] == 0
 
     def test_rejects_zero_dilation(self):
         with pytest.raises(ValueError):
@@ -117,7 +117,7 @@ class TestNaiveReference:
     def test_fixed_cases(self):
         segment, unimodular, pivot_two = self.CASES[-3:]
         assert segment.dim == 1 and unimodular.normalized_volume == 1
-        assert row_hermite_form(pivot_two.edge_matrix())[0][0] == 2
+        assert row_hermite_form(_edge_matrix(pivot_two.vertices))[0][0] == 2
 
     @pytest.mark.parametrize("index", range(len(CASES)))
     def test_every_route_matches_the_box_scan(self, index):
@@ -131,8 +131,7 @@ class TestNaiveReference:
         assert table.interior_counts == interior
         assert ehrhart_delta(s, budget=10**12) == table.delta
         for n, (c, i) in enumerate(naive, start=1):
-            assert count_lattice_points(s, n, budget=10**12) == c
-            assert count_lattice_points(s, n, interior=True, budget=10**12) == i
+            assert count_lattice_points(s, n, budget=10**12) == (c, i)
 
 
 class TestLargeDilate:
@@ -140,14 +139,14 @@ class TestLargeDilate:
 
     def test_segment(self):
         start = time.perf_counter()
-        assert count_lattice_points(SEGMENT5, 10**5, budget=10**7) == 500001
+        assert count_lattice_points(SEGMENT5, 10**5, budget=10**7) == (500001, 499999)
         assert time.perf_counter() - start < 0.5
 
     def test_triangle_matches_the_closed_polynomial(self):
         triangle = Simplex(((0, 0), (2, 0), (1, 3)))
         delta, n, d = delta_from_box(triangle), 200, 2
         start = time.perf_counter()
-        counted = count_lattice_points(triangle, n, budget=10**7)
+        counted, _ = count_lattice_points(triangle, n, budget=10**7)
         assert time.perf_counter() - start < 0.5
         assert counted == sum(x * comb(n - i + d, d) for i, x in enumerate(delta))
 
@@ -196,8 +195,9 @@ class TestDelta:
             s = random_simplex(rng, max_dim=4, max_volume=40)
             delta = ehrhart_delta(s, budget=10**12)
             d = s.dim
-            assert delta[d] == count_lattice_points(s, 1, interior=True, budget=10**12)
-            assert delta[1] == count_lattice_points(s, 1, budget=10**12) - (d + 1)
+            closed, interior = count_lattice_points(s, 1, budget=10**12)
+            assert delta[d] == interior
+            assert delta[1] == closed - (d + 1)
             assert delta[1] >= delta[d]
 
 

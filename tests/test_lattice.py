@@ -204,7 +204,7 @@ class TestSimplex:
 
         for _ in range(100):
             s = random_simplex(rng, max_dim=4)
-            diag = smith_normal_form(s.homogeneous_matrix()).diagonal
+            diag = smith_normal_form(tuple(v + (1,) for v in s.vertices)).diagonal
             prod = 1
             for x in diag:
                 prod *= x

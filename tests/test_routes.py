@@ -167,7 +167,7 @@ def test_all_is_exactly_the_reexported_names():
 # exported names that nothing in the package or the benchmark calls, each with the statement of the
 # paper it reproduces
 EXPORTED_FOR_THE_PAPER = {
-    "count_lattice_points": "the Ehrhart function L(P, n), the lattice points of the n-th dilate",
+    "count_lattice_points": "the Ehrhart function L(P, n) and its interior count, both from one walk of the n-th dilate",
     "nonprime_family": "the paper's composite-volume vectors that break the prime-volume constraints",
     "counterexample_family": "the paper's vectors that pass pairing, Stanley and Hibi yet fail superadditivity",
 }
